@@ -604,7 +604,7 @@ func (s *Server) Handle(conn net.Conn) {
 	}
 }
 
-var jsonHdr = map[string]string{"Content-Type": "application/json"}
+var jsonHdr = httpsim.Header{{Key: "Content-Type", Value: "application/json"}}
 
 func parseKey(req OrderRequest) (cert.PublicKey, error) {
 	var id cert.KeyID

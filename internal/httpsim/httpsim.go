@@ -32,31 +32,61 @@ var (
 	ErrBodyTooLarge      = errors.New("httpsim: body exceeds limit")
 )
 
+// Field is one header line.
+type Field struct {
+	Key, Value string
+}
+
+// Header is a message's header fields in wire order. Parsed headers carry
+// lower-cased keys. A message has a handful of fields, so a linear scan
+// beats building a map per message.
+type Header []Field
+
+// Get returns the value of the field named key, matched without regard to
+// case. A repeated field resolves to its last value.
+func (h Header) Get(key string) (string, bool) {
+	for i := len(h) - 1; i >= 0; i-- {
+		if strings.EqualFold(h[i].Key, key) {
+			return h[i].Value, true
+		}
+	}
+	return "", false
+}
+
+// inlineFields is how many header fields a parsed message stores without
+// a separate allocation; the study's peers send at most five.
+const inlineFields = 6
+
 // Request is a parsed HTTP request.
 type Request struct {
 	Method string
 	Path   string
 	Host   string
-	Header map[string]string
+	Header Header
 	Body   []byte
+	fields [inlineFields]Field
 }
 
 // Response is a parsed HTTP response.
 type Response struct {
 	StatusCode int
-	Header     map[string]string
+	Header     Header
 	Body       []byte
+	fields     [inlineFields]Field
 }
 
 // HSTS reports whether the response carries a Strict-Transport-Security
 // header (§8.2's HSTS preload recommendation).
 func (r *Response) HSTS() bool {
-	_, ok := r.Header["strict-transport-security"]
+	_, ok := r.Header.Get("strict-transport-security")
 	return ok
 }
 
 // Location returns the redirect target, if any.
-func (r *Response) Location() string { return r.Header["location"] }
+func (r *Response) Location() string {
+	v, _ := r.Header.Get("location")
+	return v
+}
 
 // IsRedirect reports whether the status code denotes a redirect.
 func (r *Response) IsRedirect() bool {
@@ -137,13 +167,13 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := &Request{
 		Method: internToken(line[:i1]),
 		Path:   string(line[i1+1 : i1+1+i2]),
-		Header: make(map[string]string, 4),
 	}
-	if err := readHeaders(br, req.Header); err != nil {
+	req.Header, err = readHeaders(br, req.fields[:0])
+	if err != nil {
 		return nil, err
 	}
-	req.Host = req.Header["host"]
-	if cl, ok := req.Header["content-length"]; ok {
+	req.Host, _ = req.Header.Get("host")
+	if cl, ok := req.Header.Get("content-length"); ok {
 		n, err := strconv.Atoi(cl)
 		if err != nil || n < 0 {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
@@ -197,9 +227,10 @@ func Post(conn net.Conn, host, path, contentType string, body []byte) (*Response
 	return readPooled(conn)
 }
 
-// WriteResponse sends a response with the given status, headers and body.
-// Content-Length and Connection are managed automatically.
-func WriteResponse(w io.Writer, status int, header map[string]string, body []byte) error {
+// WriteResponse sends a response with the given status, headers and body
+// in a single write. Content-Length and Connection are managed
+// automatically.
+func WriteResponse(w io.Writer, status int, header Header, body []byte) error {
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	b = append(b, "HTTP/1.1 "...)
@@ -207,22 +238,19 @@ func WriteResponse(w io.Writer, status int, header map[string]string, body []byt
 	b = append(b, ' ')
 	b = append(b, StatusText(status)...)
 	b = append(b, "\r\n"...)
-	for k, v := range header {
-		b = append(b, k...)
+	for _, f := range header {
+		b = append(b, f.Key...)
 		b = append(b, ": "...)
-		b = append(b, v...)
+		b = append(b, f.Value...)
 		b = append(b, "\r\n"...)
 	}
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(body)), 10)
 	b = append(b, "\r\nConnection: close\r\n\r\n"...)
+	b = append(b, body...)
 	_, err := w.Write(b)
 	*bp = b
 	bufPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(body)
 	return err
 }
 
@@ -246,12 +274,13 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
 		return nil, fmt.Errorf("%w: bad status code %q", ErrMalformedResponse, sb)
 	}
-	resp := &Response{StatusCode: status, Header: make(map[string]string, 4)}
-	if err := readHeaders(br, resp.Header); err != nil {
+	resp := &Response{StatusCode: status}
+	resp.Header, err = readHeaders(br, resp.fields[:0])
+	if err != nil {
 		return nil, err
 	}
 	n := 0
-	if cl, ok := resp.Header["content-length"]; ok {
+	if cl, ok := resp.Header.Get("content-length"); ok {
 		n, err = strconv.Atoi(cl)
 		if err != nil || n < 0 {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
@@ -297,24 +326,26 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-func readHeaders(br *bufio.Reader, into map[string]string) error {
+// readHeaders appends the header fields up to the blank line to h, keys
+// lower-cased, and returns the extended header.
+func readHeaders(br *bufio.Reader, h Header) (Header, error) {
 	for i := 0; i < maxHeaderLines; i++ {
 		line, err := readLine(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if len(line) == 0 {
-			return nil
+			return h, nil
 		}
 		c := bytes.IndexByte(line, ':')
 		if c < 0 {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
-			return fmt.Errorf("%w: bad header line %q", ErrMalformedRequest, line)
+			return nil, fmt.Errorf("%w: bad header line %q", ErrMalformedRequest, line)
 		}
-		into[headerKey(bytes.TrimSpace(line[:c]))] = internToken(bytes.TrimSpace(line[c+1:]))
+		h = append(h, Field{headerKey(bytes.TrimSpace(line[:c])), internToken(bytes.TrimSpace(line[c+1:]))})
 	}
 	//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
-	return fmt.Errorf("%w: too many header lines", ErrMalformedRequest)
+	return nil, fmt.Errorf("%w: too many header lines", ErrMalformedRequest)
 }
 
 // headerKey lower-cases a header name, returning the canonical string for

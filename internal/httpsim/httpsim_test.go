@@ -3,6 +3,7 @@ package httpsim
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -47,7 +48,7 @@ func TestRequestDefaultPath(t *testing.T) {
 func TestResponseRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("<html>hello</html>")
-	hdr := map[string]string{"Content-Type": "text/html", "Strict-Transport-Security": "max-age=31536000"}
+	hdr := Header{{Key: "Content-Type", Value: "text/html"}, {Key: "Strict-Transport-Security", Value: "max-age=31536000"}}
 	if err := WriteResponse(&buf, 200, hdr, body); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestResponseRoundtrip(t *testing.T) {
 
 func TestRedirectResponse(t *testing.T) {
 	var buf bytes.Buffer
-	WriteResponse(&buf, 301, map[string]string{"Location": "https://www.agency.gov/"}, nil)
+	WriteResponse(&buf, 301, Header{{Key: "Location", Value: "https://www.agency.gov/"}}, nil)
 	resp, err := ReadResponse(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestGetOverSimnetConn(t *testing.T) {
 			WriteResponse(server, 500, nil, nil)
 			return
 		}
-		WriteResponse(server, 200, map[string]string{"Content-Type": "text/html"}, RenderPage("Agency", nil))
+		WriteResponse(server, 200, Header{{Key: "Content-Type", Value: "text/html"}}, RenderPage("Agency", nil))
 	}()
 	resp, err := Get(client, "www.agency.gov", "/")
 	if err != nil {
@@ -213,7 +214,7 @@ func TestPostRoundtrip(t *testing.T) {
 			WriteResponse(server, 500, nil, []byte("bad request"))
 			return
 		}
-		WriteResponse(server, 200, map[string]string{"Content-Type": "application/json"}, []byte(`{"ok":true}`))
+		WriteResponse(server, 200, Header{{Key: "Content-Type", Value: "application/json"}}, []byte(`{"ok":true}`))
 	}()
 	resp, err := Post(client, "api.gov", "/endpoint", "application/json", []byte(`{"a":1}`))
 	if err != nil {
@@ -236,5 +237,67 @@ func TestReadRequestBodyLimits(t *testing.T) {
 	raw = "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nshort"
 	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
 		t.Error("truncated body accepted")
+	}
+}
+
+// TestHeaderRepeatsAndCase: a repeated field resolves to its last value,
+// as with the map the header used to be, and mixed-case names are stored
+// lower-cased and found under any case.
+func TestHeaderRepeatsAndCase(t *testing.T) {
+	raw := "HTTP/1.1 301 Moved Permanently\r\n" +
+		"LOCATION: https://first.gov/\r\n" +
+		"X-Custom-Thing: a\r\n" +
+		"location: https://second.gov/\r\n" +
+		"Content-Length: 0\r\n\r\n"
+	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Location(); got != "https://second.gov/" {
+		t.Errorf("Location = %q, want the last value", got)
+	}
+	for _, f := range resp.Header {
+		if f.Key != strings.ToLower(f.Key) {
+			t.Errorf("header key %q not lower-cased", f.Key)
+		}
+	}
+	if v, ok := resp.Header.Get("X-CUSTOM-THING"); !ok || v != "a" {
+		t.Errorf("Get(X-CUSTOM-THING) = %q, %v", v, ok)
+	}
+	if v, ok := resp.Header.Get("x-custom-thing"); !ok || v != "a" {
+		t.Errorf("Get(x-custom-thing) = %q, %v", v, ok)
+	}
+	if _, ok := resp.Header.Get("strict-transport-security"); ok || resp.HSTS() {
+		t.Error("absent header reported present")
+	}
+
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(
+		"GET / HTTP/1.1\r\nHOST: a.gov\r\nHost: b.gov\r\n\r\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Host != "b.gov" {
+		t.Errorf("Host = %q, want the last value", req.Host)
+	}
+}
+
+// TestHeaderBeyondInlineFields: messages with more fields than the inline
+// backing array still parse every field.
+func TestHeaderBeyondInlineFields(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("HTTP/1.1 200 OK\r\n")
+	for i := 0; i < 3*inlineFields; i++ {
+		fmt.Fprintf(&b, "X-H%d: v%d\r\n", i, i)
+	}
+	b.WriteString("Content-Length: 2\r\n\r\nok")
+	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(b.String())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Header) != 3*inlineFields+1 || string(resp.Body) != "ok" {
+		t.Fatalf("parsed %d fields, body %q", len(resp.Header), resp.Body)
+	}
+	if v, _ := resp.Header.Get("x-h0"); v != "v0" {
+		t.Errorf("x-h0 = %q", v)
 	}
 }

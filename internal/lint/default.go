@@ -50,9 +50,11 @@ var LongRunningPackages = []string{
 
 // HotPathFuncs is the declared zero-alloc hot set hotalloc enforces: the
 // httpsim wire codecs, the scanner probe loop and zero-copy JSON
-// exporter, the cert fingerprint/base64 encoders, and the result-set
-// build. Additions here are a reviewed contract — a function joins the
-// hot set when a bench gate depends on its allocation behavior.
+// exporter, the cert fingerprint/base64 encoders, the result-set build,
+// and the per-connection wire layers (simnet pipes, tlssim records, the
+// world's page writers). Additions here are a reviewed contract — a
+// function joins the hot set when a bench gate depends on its allocation
+// behavior.
 var HotPathFuncs = []string{
 	"repro/internal/httpsim.Read*",
 	"repro/internal/httpsim.Write*",
@@ -70,6 +72,13 @@ var HotPathFuncs = []string{
 	"repro/internal/resultset.build",
 	"repro/internal/resultset.Builder.Add",
 	"repro/internal/serve.append*",
+	"repro/internal/simnet.Pipe",
+	"repro/internal/simnet.pipeBetween",
+	"repro/internal/simnet.AppendEndpoint",
+	"repro/internal/tlssim.readRecord",
+	"repro/internal/tlssim.writeRecord",
+	"repro/internal/world.World.writePage",
+	"repro/internal/world.writeRedirect",
 }
 
 // DefaultAnalyzers is the invariant set enforced on this repository — the

@@ -103,3 +103,45 @@ func TestStateOrdering(t *testing.T) {
 		t.Error("state naming wrong")
 	}
 }
+
+// TestTallyMatchesCapture: Tally must count exactly what PointOf(Capture)
+// counts, on a fresh set and on every generation of a delta chain, where
+// patched rows live in the overlay rather than the base slice.
+func TestTallyMatchesCapture(t *testing.T) {
+	w := world.MustBuild(world.Config{Seed: 33, Scale: 0.01})
+	s := scanner.New(w.Net, w.DNS, w.Class, scanner.DefaultConfig(w.Stores["apple"], w.ScanTime))
+	set := resultset.New(s.ScanAll(context.Background(), w.GovHosts), resultset.Options{})
+	check := func(gen int, set *resultset.Set) {
+		t.Helper()
+		want := longitudinal.PointOf(longitudinal.Capture(w.ScanTime, set))
+		if got := longitudinal.Tally(w.ScanTime, set); got != want {
+			t.Fatalf("generation %d: Tally = %+v, PointOf(Capture) = %+v", gen, got, want)
+		}
+	}
+	check(0, set)
+
+	r := rand.New(rand.NewSource(7))
+	for gen := 1; gen <= 3; gen++ {
+		// Heal a slice of the broken hosts, re-scan them, and patch.
+		var broken []string
+		for i := 0; i < set.Len(); i++ {
+			if res := set.At(i); res.HasHTTPS() && !res.ValidHTTPS() {
+				broken = append(broken, res.Hostname)
+			}
+		}
+		if len(broken) == 0 {
+			t.Fatalf("generation %d: no broken hosts left to heal", gen)
+		}
+		broken = broken[:(len(broken)+1)/2]
+		w.Remediate(broken, world.DefaultRemediationRates(), r)
+		next, err := set.ApplyDelta(s.ScanAll(context.Background(), broken))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next == set {
+			t.Fatalf("generation %d: delta changed nothing", gen)
+		}
+		set = next
+		check(gen, set)
+	}
+}

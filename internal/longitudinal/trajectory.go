@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"time"
+
+	"repro/internal/resultset"
 )
 
 // Point reduces one snapshot to state tallies — one sample of the
@@ -34,18 +36,35 @@ func (p Point) ValidShare() float64 {
 func PointOf(s Snapshot) Point {
 	p := Point{Taken: s.Taken}
 	for _, st := range s.States {
-		switch st {
-		case Gone:
-			p.Gone++
-		case HTTPOnly:
-			p.HTTPOnly++
-		case BrokenHTTPS:
-			p.Broken++
-		case ValidHTTPS:
-			p.Valid++
-		}
+		p.add(st)
 	}
 	return p
+}
+
+// Tally is PointOf(Capture(taken, set)) without the per-host state map,
+// for callers that only chart the curve. It counts rows, so it matches
+// Capture whenever the set holds each hostname once, as every scan of a
+// host list without repeats does.
+func Tally(taken time.Time, set *resultset.Set) Point {
+	p := Point{Taken: taken}
+	for i := 0; i < set.Len(); i++ {
+		p.add(stateOf(set.At(i)))
+	}
+	return p
+}
+
+// add counts one host in state st.
+func (p *Point) add(st State) {
+	switch st {
+	case Gone:
+		p.Gone++
+	case HTTPOnly:
+		p.HTTPOnly++
+	case BrokenHTTPS:
+		p.Broken++
+	case ValidHTTPS:
+		p.Valid++
+	}
 }
 
 // Trajectory is the adoption curve a periodic snapshot stream traces —
@@ -53,15 +72,6 @@ func PointOf(s Snapshot) Point {
 // over virtual months by the continuous observatory.
 type Trajectory struct {
 	Points []Point
-}
-
-// Track reduces a snapshot stream (in capture order) to its trajectory.
-func Track(snaps []Snapshot) Trajectory {
-	t := Trajectory{Points: make([]Point, 0, len(snaps))}
-	for _, s := range snaps {
-		t.Points = append(t.Points, PointOf(s))
-	}
-	return t
 }
 
 // AdoptionDelta is the net change in valid-https hosts from the first

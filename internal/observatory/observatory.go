@@ -123,7 +123,7 @@ type Observatory struct {
 	scanCfg   scanner.Config
 
 	alerts []certwatch.Match
-	snaps  []longitudinal.Snapshot
+	points []longitudinal.Point
 }
 
 // dirtyHost is one queued re-scan candidate.
@@ -218,14 +218,14 @@ func (o *Observatory) Run(ctx context.Context) (*Report, error) {
 		}
 
 		if i%o.Cfg.SnapshotEvery == 0 || i == ticks {
-			o.snaps = append(o.snaps, longitudinal.Capture(now, o.set))
+			o.points = append(o.points, longitudinal.Tally(now, o.set))
 			stat.Snapshotted = true
 		}
 		stat.Alerts = len(o.alerts)
 		rep.Ticks = append(rep.Ticks, stat)
 	}
 	rep.Alerts = append([]certwatch.Match(nil), o.alerts...)
-	rep.Trajectory = longitudinal.Track(o.snaps)
+	rep.Trajectory = longitudinal.Trajectory{Points: o.points}
 	rep.FinalCounts = o.set.Counts()
 	return rep, nil
 }

@@ -532,9 +532,8 @@ func (s *Scanner) backoff(ep netip.AddrPort, attempt int) time.Duration {
 		buf[8+i] = byte(int64(attempt) >> (8 * i))
 	}
 	h.Write(buf[:])
-	if b, err := ep.MarshalBinary(); err == nil {
-		h.Write(b)
-	}
+	var epBuf [32]byte
+	h.Write(simnet.AppendEndpoint(epBuf[:0], ep))
 	frac := float64(h.Sum64()>>11) / float64(1<<53)
 	return time.Duration(float64(d) * (0.5 + frac))
 }

@@ -3,16 +3,18 @@ package simnet
 import (
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"time"
 )
 
 // pipeBuffer is one direction of an in-memory connection: a byte queue with
-// blocking reads, close semantics and deadline support.
+// blocking reads, close semantics and deadline support. It lives inside a
+// pipe and must not be copied once in use.
 type pipeBuffer struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // L is &mu, set by pipe.init
 	buf      []byte
 	closed   bool  // no more writes will arrive
 	readErr  error // error overriding normal reads (e.g. reset)
@@ -20,12 +22,6 @@ type pipeBuffer struct {
 	limit    int
 	deadline time.Time
 	timer    *time.Timer
-}
-
-func newPipeBuffer() *pipeBuffer {
-	b := &pipeBuffer{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 func (b *pipeBuffer) write(p []byte) (int, error) {
@@ -136,19 +132,40 @@ type Conn struct {
 	remote   net.Addr
 
 	closeOnce sync.Once
-	peer      *Conn
+}
+
+// pipe is one in-memory connection: both directions and both ends in a
+// single allocation. addrs backs the endpoint addresses Dial reports, so
+// they need no boxing allocation of their own.
+type pipe struct {
+	c2s, s2c       pipeBuffer
+	client, server Conn
+	addrs          [2]Addr
+}
+
+// init wires the ends to the directions; the pipe must not move afterwards.
+func (p *pipe) init(clientAddr, serverAddr net.Addr) {
+	p.c2s.cond.L = &p.c2s.mu
+	p.s2c.cond.L = &p.s2c.mu
+	p.client = Conn{readBuf: &p.s2c, writeBuf: &p.c2s, local: clientAddr, remote: serverAddr}
+	p.server = Conn{readBuf: &p.c2s, writeBuf: &p.s2c, local: serverAddr, remote: clientAddr}
 }
 
 // Pipe creates a connected pair of in-memory connections with the given
 // endpoint addresses.
 func Pipe(clientAddr, serverAddr net.Addr) (client, server *Conn) {
-	c2s := newPipeBuffer()
-	s2c := newPipeBuffer()
-	client = &Conn{readBuf: s2c, writeBuf: c2s, local: clientAddr, remote: serverAddr}
-	server = &Conn{readBuf: c2s, writeBuf: s2c, local: serverAddr, remote: clientAddr}
-	client.peer = server
-	server.peer = client
-	return client, server
+	p := new(pipe)
+	p.init(clientAddr, serverAddr)
+	return &p.client, &p.server
+}
+
+// pipeBetween is Pipe for two simulated endpoints. The addresses are
+// stored in the pipe and reported as *Addr pointing into it, so the whole
+// connection is one allocation.
+func pipeBetween(clientAP, serverAP netip.AddrPort) (client, server *Conn) {
+	p := &pipe{addrs: [2]Addr{{clientAP}, {serverAP}}}
+	p.init(&p.addrs[0], &p.addrs[1])
+	return &p.client, &p.server
 }
 
 // Read implements net.Conn.

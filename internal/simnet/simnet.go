@@ -12,6 +12,7 @@ package simnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -39,6 +40,9 @@ var (
 // errors.Is(err, ErrFirewalled) — so a scanner can classify it once
 // instead of burning its retry budget re-dialing a censored route.
 var ErrFirewallTimeout = fmt.Errorf("%w: %w", ErrTimedOut, ErrFirewalled)
+
+// clientIP is the source address of every dial: the scanner's vantage.
+var clientIP = netip.MustParseAddr("10.0.0.1")
 
 // Fault is a per-endpoint failure mode.
 type Fault int
@@ -317,8 +321,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 		n.nextPort = 40000
 	}
 	n.mu.Unlock()
-	clientAddr := Addr{netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), clientPort)}
-	client, server := Pipe(clientAddr, Addr{ep})
+	client, server := pipeBetween(netip.AddrPortFrom(clientIP, clientPort), ep)
 
 	switch spec.Mode {
 	case FaultReset:
@@ -383,9 +386,28 @@ func dialChance(seed int64, ep netip.AddrPort, seq int64) float64 {
 		buf[8+i] = byte(seq >> (8 * i))
 	}
 	h.Write(buf[:])
-	b, _ := ep.MarshalBinary()
-	h.Write(b)
+	var epBuf [32]byte
+	h.Write(AppendEndpoint(epBuf[:0], ep))
 	return float64(h.Sum64()>>11) / float64(1<<53)
+}
+
+// AppendEndpoint appends the netip.AddrPort.MarshalBinary encoding of ep
+// to b: the 4- or 16-byte address (16 plus the zone for IPv6, nothing for
+// the zero address), then the port little-endian. Hashing callers pass a
+// stack array, so unlike MarshalBinary it allocates nothing
+// (AddrPort.AppendBinary would too, but needs go1.24).
+func AppendEndpoint(b []byte, ep netip.AddrPort) []byte {
+	a := ep.Addr()
+	switch {
+	case a.Is4():
+		v := a.As4()
+		b = append(b, v[:]...)
+	case a.IsValid():
+		v := a.As16()
+		b = append(b, v[:]...)
+		b = append(b, a.Zone()...)
+	}
+	return binary.LittleEndian.AppendUint16(b, ep.Port())
 }
 
 // Listener accepts simulated connections.

@@ -1,7 +1,6 @@
 package tlssim
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -104,9 +103,11 @@ type ConnectionState struct {
 // It implements net.Conn.
 type Conn struct {
 	raw      net.Conn
-	br       *bufio.Reader
 	state    ConnectionState
 	readRest []byte
+	// hdr receives each record header. A header array on the stack would
+	// escape through the io.Reader call and cost an allocation per record.
+	hdr [recordHeaderLen]byte
 }
 
 // ConnectionState returns the negotiated parameters.
@@ -115,7 +116,7 @@ func (c *Conn) ConnectionState() ConnectionState { return c.state }
 // Read implements net.Conn, delivering application-data payload bytes.
 func (c *Conn) Read(p []byte) (int, error) {
 	for len(c.readRest) == 0 {
-		typ, _, payload, err := readRecord(c.br)
+		typ, _, payload, err := readRecord(c.raw, &c.hdr)
 		if err != nil {
 			return 0, err
 		}
@@ -183,10 +184,13 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 	if err := writeRecord(raw, recordHandshake, cfg.MaxVersion, hello.marshal()); err != nil {
 		return nil, fmt.Errorf("tlssim: sending ClientHello: %w", err)
 	}
-	br := bufio.NewReader(raw)
+	// Records are read straight from raw: on simnet a read is a memory
+	// copy, so a buffered reader per handshake would only add an
+	// allocation. c is built up front for its header scratch.
+	c := &Conn{raw: raw}
 
 	// ServerHello.
-	typ, recVer, payload, err := readRecord(br)
+	typ, recVer, payload, err := readRecord(raw, &c.hdr)
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading ServerHello: %w", err)
 	}
@@ -211,7 +215,7 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 	}
 
 	// Certificate.
-	typ, _, payload, err = readRecord(br)
+	typ, _, payload, err = readRecord(raw, &c.hdr)
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading Certificate: %w", err)
 	}
@@ -229,7 +233,7 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 	}
 
 	// Finished.
-	typ, _, payload, err = readRecord(br)
+	typ, _, payload, err = readRecord(raw, &c.hdr)
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading Finished: %w", err)
 	}
@@ -237,15 +241,12 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 		return nil, ErrHandshakeState
 	}
 
-	return &Conn{
-		raw: raw,
-		br:  br,
-		state: ConnectionState{
-			Version:    sh.Version,
-			Chain:      chain,
-			ServerName: cfg.ServerName,
-		},
-	}, nil
+	c.state = ConnectionState{
+		Version:    sh.Version,
+		Chain:      chain,
+		ServerName: cfg.ServerName,
+	}
+	return c, nil
 }
 
 // handshakeDeadline computes the absolute deadline bounding the handshake,
@@ -272,8 +273,8 @@ func (cfg *ClientConfig) handshakeDeadline() (time.Time, bool) {
 // ServerHandshake performs the server side of the handshake over raw,
 // applying the configured quirk.
 func ServerHandshake(raw net.Conn, cfg *ServerConfig) (*Conn, error) {
-	br := bufio.NewReader(raw)
-	typ, _, payload, err := readRecord(br)
+	c := &Conn{raw: raw}
+	typ, _, payload, err := readRecord(raw, &c.hdr)
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading ClientHello: %w", err)
 	}
@@ -328,15 +329,12 @@ func ServerHandshake(raw net.Conn, cfg *ServerConfig) (*Conn, error) {
 	if err := writeRecord(raw, recordHandshake, version, []byte{msgFinished}); err != nil {
 		return nil, err
 	}
-	return &Conn{
-		raw: raw,
-		br:  br,
-		state: ConnectionState{
-			Version:    version,
-			Chain:      cfg.Chain,
-			ServerName: ch.ServerName,
-		},
-	}, nil
+	c.state = ConnectionState{
+		Version:    version,
+		Chain:      cfg.Chain,
+		ServerName: ch.ServerName,
+	}
+	return c, nil
 }
 
 // negotiate picks the protocol version the server answers with.

@@ -141,9 +141,12 @@ func writeRecord(w io.Writer, typ uint8, ver Version, payload []byte) error {
 	return err
 }
 
-// readRecord reads one record.
-func readRecord(r io.Reader) (typ uint8, ver Version, payload []byte, err error) {
-	var hdr [5]byte
+// recordHeaderLen is the size of a record header: type, version, length.
+const recordHeaderLen = 5
+
+// readRecord reads one record, using hdr as scratch for its header. The
+// payload is a fresh slice the caller owns.
+func readRecord(r io.Reader, hdr *[recordHeaderLen]byte) (typ uint8, ver Version, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}

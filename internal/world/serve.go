@@ -2,7 +2,6 @@ package world
 
 import (
 	"bytes"
-	"fmt"
 	"hash/fnv"
 	"net"
 	"net/netip"
@@ -107,8 +106,7 @@ func (w *World) httpHandler(s *Site, redirect bool) simnet.Handler {
 			return
 		}
 		if redirect {
-			site.render()
-			conn.Write(site.respRedirect)
+			writeRedirect(conn, site)
 			return
 		}
 		w.writePage(conn, site, false)
@@ -123,46 +121,43 @@ func (w *World) answer(conn net.Conn, s *Site, _ bool) {
 	w.writePage(conn, s, true)
 }
 
-func (w *World) writePage(conn net.Conn, s *Site, https bool) {
-	s.render()
-	if https {
-		conn.Write(s.respHTTPS)
-	} else {
-		conn.Write(s.respHTTP)
+// The header sets of a site's landing page: HSTS sites add
+// Strict-Transport-Security, and only over https.
+var (
+	pageHeader     = httpsim.Header{{Key: "Content-Type", Value: "text/html"}}
+	pageHeaderHSTS = httpsim.Header{
+		{Key: "Content-Type", Value: "text/html"},
+		{Key: "Strict-Transport-Security", Value: "max-age=31536000; includeSubDomains; preload"},
 	}
+)
+
+// writePage answers with the site's landing page.
+func (w *World) writePage(conn net.Conn, s *Site, https bool) {
+	hdr := pageHeader
+	if https && s.HSTS {
+		hdr = pageHeaderHSTS
+	}
+	httpsim.WriteResponse(conn, 200, hdr, s.page())
 }
 
-// render serializes the site's responses once, on first request — after the
-// link graph is final — so every later request is a single buffer write.
-// Safe under concurrent scanners via renderOnce.
-func (s *Site) render() {
-	s.renderOnce.Do(func() {
+// writeRedirect answers plain http with a 301 to the https landing page.
+func writeRedirect(conn net.Conn, s *Site) {
+	hdr := [1]httpsim.Field{{Key: "Location", Value: "https://" + s.Hostname + "/"}}
+	httpsim.WriteResponse(conn, 301, hdr[:], nil)
+}
+
+// page returns the landing page body, rendered once on first request —
+// after the link graph is final. Safe under concurrent scanners via
+// pageOnce.
+func (s *Site) page() []byte {
+	s.pageOnce.Do(func() {
 		links := make([]string, 0, len(s.Links))
 		for _, l := range s.Links {
 			links = append(links, "http://"+l+"/")
 		}
-		title := fmt.Sprintf("Official website — %s", s.Hostname)
-		body := httpsim.RenderPage(title, links)
-
-		var b bytes.Buffer
-		b.Grow(len(body) + 256)
-		hdr := map[string]string{"Content-Type": "text/html"}
-		httpsim.WriteResponse(&b, 200, hdr, body)
-		s.respHTTP = append([]byte(nil), b.Bytes()...)
-
-		if s.HSTS {
-			hdr["Strict-Transport-Security"] = "max-age=31536000; includeSubDomains; preload"
-		}
-		b.Reset()
-		httpsim.WriteResponse(&b, 200, hdr, body)
-		s.respHTTPS = append([]byte(nil), b.Bytes()...)
-
-		b.Reset()
-		httpsim.WriteResponse(&b, 301, map[string]string{
-			"Location": "https://" + s.Hostname + "/",
-		}, nil)
-		s.respRedirect = append([]byte(nil), b.Bytes()...)
+		s.pageBody = httpsim.RenderPage("Official website — "+s.Hostname, links)
 	})
+	return s.pageBody
 }
 
 // resp503 is the canned unavailable-site answer.

@@ -92,13 +92,12 @@ type Site struct {
 	// letting tests distinguish measurement error from generation error.
 	Injected ErrorClass
 
-	// renderOnce lazily caches the serialized 200/301 responses the site's
-	// handlers write, so repeated scans stop re-rendering the page per
-	// request. Populated on first request, after Links are final.
-	renderOnce   sync.Once
-	respHTTP     []byte
-	respHTTPS    []byte
-	respRedirect []byte
+	// pageOnce lazily caches the landing page body (the HTML alone; status
+	// line and headers are written per request), so repeated scans stop
+	// re-rendering the page. Populated on first request, after Links are
+	// final.
+	pageOnce sync.Once
+	pageBody []byte
 }
 
 // World is a fully built synthetic Internet.
