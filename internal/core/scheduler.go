@@ -31,12 +31,6 @@ type SuiteOptions struct {
 	// benchmark uses it to record the forced-parallel number honestly
 	// next to the policy number.
 	ForceParallel bool
-	// Shards, when non-zero, fixes the shard count for full dataset
-	// builds before the suite starts (see Study.SetShards): > 1 forces
-	// sharded scanning, 1 forces the sequential path. Fault-free worlds
-	// produce byte-identical output at any shard count; the flaky-world
-	// caveat above applies to shards exactly as it does to Jobs.
-	Shards int
 }
 
 // SuiteResult is one experiment's rendered artifact.
@@ -55,9 +49,6 @@ type SuiteResult struct {
 // sequential loop's fail-fast), and the successfully rendered prefix is
 // returned alongside the error.
 func RunAllExperiments(ctx context.Context, s *Study, opts SuiteOptions) ([]SuiteResult, error) {
-	if opts.Shards != 0 {
-		s.SetShards(opts.Shards)
-	}
 	jobs := opts.Jobs
 	if jobs == 0 {
 		jobs = runtime.GOMAXPROCS(0)

@@ -54,10 +54,6 @@ type Study struct {
 	// resultset rank index.
 	rankOf map[string]int
 
-	// shards is the explicit shard-count override for full dataset builds
-	// (see SetShards); zero defers to the size-based policy.
-	shards int
-
 	// fleetReport memoizes the §8.1 renewal-fleet campaign (E7/E8 and the
 	// acmefleet dataset all consume one run; the campaign mutates the
 	// serving world, so it must not repeat).
@@ -92,7 +88,6 @@ func NewStudy(cfg world.Config) (*Study, error) {
 		s.rankOf[rh.Host] = rh.Rank
 	}
 	s.datasets = dataset.NewRegistry(s.scanDataset)
-	s.datasets.SetSharded(s.scanShardedDataset, s.shardPolicy)
 	s.datasets.Register(dataset.Source{
 		Name:  "worldwide",
 		Hosts: func() []string { return s.World.GovHosts },
@@ -147,51 +142,9 @@ func (s *Study) caseStudyOptions() resultset.Options {
 }
 
 // scanDataset is the registry's scan function: probe the hosts with the
-// study's current scanner posture, streaming results straight into the
-// index builder.
+// study's current scanner posture and index the results.
 func (s *Study) scanDataset(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set {
-	opts.SizeHint = len(hosts)
-	b := resultset.NewBuilder(opts)
-	s.Scanner().ScanStream(ctx, hosts, b.Add)
-	return b.Build()
-}
-
-// scanShardedDataset is the registry's sharded build hook: partition the
-// host list, scan each shard into its own index builder, merge
-// deterministically (resultset.ScanSharded).
-func (s *Study) scanShardedDataset(ctx context.Context, hosts []string, opts resultset.Options, shards int) *resultset.Set {
-	return resultset.ScanSharded(ctx, s.Scanner(), hosts, shards, opts)
-}
-
-// SetShards fixes the shard count for full dataset builds and follow-up
-// scans: n > 1 forces sharded scanning, n == 1 forces the sequential
-// path, and n == 0 (the default) lets the size-based policy decide —
-// corpora of autoShardHosts hosts or more shard automatically. Call
-// before running experiments; the setting is not synchronized against
-// in-flight scans. On fault-free worlds any shard count produces
-// bit-identical results; under injected flakiness the shard count becomes
-// part of the fault draw (same caveat as SuiteOptions.Jobs).
-func (s *Study) SetShards(n int) { s.shards = n }
-
-// autoShard* gate the transparent sharding policy: ROADMAP item 3 says a
-// worldwide corpus stops fitting one scanner past ~1M hosts; corpora at
-// least this large shard automatically, everything smaller stays on the
-// sequential path.
-const (
-	autoShardHosts = 100_000
-	autoShardCount = 8
-)
-
-// shardPolicy decides how many shards a full build over hostCount hosts
-// uses (1 = sequential).
-func (s *Study) shardPolicy(hostCount int) int {
-	if s.shards != 0 {
-		return s.shards
-	}
-	if hostCount >= autoShardHosts {
-		return autoShardCount
-	}
-	return 1
+	return resultset.New(s.Scanner().ScanAll(ctx, hosts), opts)
 }
 
 // assembleUSAAll builds the usa:all set from the cached per-key GSA
@@ -217,17 +170,15 @@ func (s *Study) assembleUSAAll(ctx context.Context) (*resultset.Set, error) {
 		}
 	}
 	hosts := s.World.USA.AllHosts()
-	opts := s.caseStudyOptions()
-	opts.SizeHint = len(hosts)
-	b := resultset.NewBuilder(opts)
-	for _, h := range hosts {
+	results := make([]scanner.Result, len(hosts))
+	for i, h := range hosts {
 		r, ok := byHost[h]
 		if !ok {
 			return nil, fmt.Errorf("core: usa:all host %q missing from every GSA dataset", h)
 		}
-		b.Add(*r)
+		results[i] = *r
 	}
-	return b.Build(), nil
+	return resultset.New(results, s.caseStudyOptions()), nil
 }
 
 // MustNewStudy is NewStudy for known-valid configurations.
@@ -396,7 +347,7 @@ func (s *Study) ROK(ctx context.Context) *resultset.Set {
 }
 
 // FollowUpScan re-probes the worldwide host list with a fresh scanner at
-// the §7.2.2 follow-up time, streaming into a worldwide-shaped index. The
+// the §7.2.2 follow-up time and indexes it like the worldwide dataset. The
 // result is not cached — it reflects the world as mutated by remediation.
 // configure, when non-nil, adjusts the scanner config (journal, seed)
 // before the scan.
@@ -412,14 +363,7 @@ func (s *Study) FollowUpScan(ctx context.Context, configure func(*scanner.Config
 		configure(&cfg)
 	}
 	follow := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
-	opts := s.worldwideOptions()
-	if n := s.shardPolicy(len(s.World.GovHosts)); n > 1 {
-		return resultset.ScanSharded(ctx, follow, s.World.GovHosts, n, opts)
-	}
-	opts.SizeHint = len(s.World.GovHosts)
-	b := resultset.NewBuilder(opts)
-	follow.ScanStream(ctx, s.World.GovHosts, b.Add)
-	return b.Build()
+	return resultset.New(follow.ScanAll(ctx, s.World.GovHosts), s.worldwideOptions())
 }
 
 // RankComparison computes (once per worldwide snapshot) the rank-matched
@@ -540,12 +484,7 @@ func (s *Study) scanFleetCorpus(ctx context.Context) (*resultset.Set, error) {
 	cfg.VerifyCache = s.verifyCache
 	cfg.ChainCache = s.chainCache
 	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
-	hosts := s.fleetHosts()
-	opts := s.caseStudyOptions()
-	opts.SizeHint = len(hosts)
-	b := resultset.NewBuilder(opts)
-	sc.ScanStream(ctx, hosts, b.Add)
-	return b.Build(), nil
+	return resultset.New(sc.ScanAll(ctx, s.fleetHosts()), s.caseStudyOptions()), nil
 }
 
 // LinkGraph extracts the world's hyperlink graph for the cross-government

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/resultset"
+	"repro/internal/scanner"
 )
 
 // Source describes one registered dataset.
@@ -43,11 +44,6 @@ type Source struct {
 // ScanFunc performs one scan: probe hosts and build the indexed set.
 // The registry calls it without holding any lock.
 type ScanFunc func(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set
-
-// ShardedScanFunc performs one scan split across shards independent
-// workers, merging the per-shard indexes deterministically (typically
-// resultset.ScanSharded). The registry calls it without holding any lock.
-type ShardedScanFunc func(ctx context.Context, hosts []string, opts resultset.Options, shards int) *resultset.Set
 
 // entry is one dataset's cache slot.
 type entry struct {
@@ -81,12 +77,6 @@ type pinState struct {
 type Registry struct {
 	scan ScanFunc
 
-	// sharded + shardsFor, when set via SetSharded, route full builds
-	// through the sharded scan path; partial (dirty-patch) rescans stay on
-	// the plain ScanFunc, since they cover small host subsets.
-	sharded   ShardedScanFunc
-	shardsFor func(hostCount int) int
-
 	mu      sync.Mutex
 	names   []string // registration order
 	entries map[string]*entry
@@ -95,28 +85,6 @@ type Registry struct {
 // NewRegistry creates an empty registry scanning through fn.
 func NewRegistry(fn ScanFunc) *Registry {
 	return &Registry{scan: fn, entries: map[string]*entry{}}
-}
-
-// SetSharded installs the sharded build hook: any full dataset build whose
-// host count makes shardsFor return n > 1 runs through fn with that shard
-// count instead of the sequential ScanFunc — so large corpora (worldwide
-// at scale) shard transparently while small ones keep the cheap path.
-// Both arguments must be non-nil. Call before the first Get; the hook is
-// not synchronized against in-flight builds.
-func (r *Registry) SetSharded(fn ShardedScanFunc, shardsFor func(hostCount int) int) {
-	r.sharded = fn
-	r.shardsFor = shardsFor
-}
-
-// fullBuild scans an entire host list, routing through the sharded hook
-// when the shard policy asks for more than one shard.
-func (r *Registry) fullBuild(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set {
-	if r.sharded != nil {
-		if n := r.shardsFor(len(hosts)); n > 1 {
-			return r.sharded(ctx, hosts, opts, n)
-		}
-	}
-	return r.scan(ctx, hosts, opts)
 }
 
 // Register adds a dataset. Registering a name twice panics: dataset names
@@ -201,7 +169,7 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 		case e.src.Build != nil:
 			set, err = e.src.Build(ctx)
 		default:
-			set = r.fullBuild(ctx, e.src.Hosts(), e.src.Opts())
+			set = r.scan(ctx, e.src.Hosts(), e.src.Opts())
 		}
 
 		r.mu.Lock()
@@ -359,7 +327,7 @@ func (r *Registry) Generations() []GenerationInfo {
 // unchanged, the base's indexes are patched incrementally
 // (resultset.ApplyDelta — cost proportional to the dirty set, not the
 // corpus); when hosts appeared or disappeared, the set is reassembled in
-// the source's current host order through a Builder replay. Per-host
+// the source's current host order and indexed with resultset.New. Per-host
 // results are scan-order independent on fault-free worlds, so either
 // path is bit-identical to a full rescan at a fraction of the cost;
 // flaky worlds should use Invalidate instead (dial-ordinal fault draws
@@ -391,7 +359,7 @@ func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, d
 				return next
 			}
 			// A delta contract violation (host vanished from the scan
-			// output) falls through to the full replay below.
+			// output) falls through to the reassembly below.
 		}
 	}
 
@@ -416,16 +384,15 @@ func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, d
 	for i := range subResults {
 		subIdx[subResults[i].Hostname] = i
 	}
-	opts.SizeHint = len(hosts)
-	b := resultset.NewBuilder(opts)
-	for _, h := range hosts {
-		if i, ok := subIdx[h]; ok {
-			b.Add(subResults[i])
+	results := make([]scanner.Result, len(hosts))
+	for i, h := range hosts {
+		if j, ok := subIdx[h]; ok {
+			results[i] = subResults[j]
 		} else {
-			b.Add(baseResults[baseIdx[h]])
+			results[i] = baseResults[baseIdx[h]]
 		}
 	}
-	return b.Build()
+	return resultset.New(results, opts)
 }
 
 // MarkDirty records hosts whose cached results in the named dataset are

@@ -267,74 +267,3 @@ func TestGetInvalidateRace(t *testing.T) {
 		}
 	}
 }
-
-// TestSetShardedDispatch: full builds route through the sharded hook when
-// the policy asks for more than one shard; small datasets and dirty
-// patches stay on the sequential ScanFunc.
-func TestSetShardedDispatch(t *testing.T) {
-	var scans, shardedScans atomic.Int64
-	r := dataset.NewRegistry(fakeScan(&scans))
-	var lastShards int
-	r.SetSharded(func(_ context.Context, hosts []string, opts resultset.Options, shards int) *resultset.Set {
-		shardedScans.Add(1)
-		lastShards = shards
-		rs := make([]scanner.Result, len(hosts))
-		for i, h := range hosts {
-			rs[i] = scanner.Result{Hostname: h}
-		}
-		return resultset.New(rs, opts)
-	}, func(hostCount int) int {
-		if hostCount >= 4 {
-			return 3
-		}
-		return 1
-	})
-	big := []string{"a.gov", "b.gov", "c.gov", "d.gov", "e.gov"}
-	r.Register(dataset.Source{
-		Name:  "big",
-		Hosts: func() []string { return big },
-		Opts:  func() resultset.Options { return resultset.Options{} },
-	})
-	r.Register(dataset.Source{
-		Name:  "small",
-		Hosts: func() []string { return []string{"tiny.gov"} },
-		Opts:  func() resultset.Options { return resultset.Options{} },
-	})
-
-	ctx := context.Background()
-	set, err := r.Get(ctx, "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != len(big) {
-		t.Fatalf("big build has %d results, want %d", set.Len(), len(big))
-	}
-	if got := shardedScans.Load(); got != 1 {
-		t.Fatalf("sharded scans = %d, want 1", got)
-	}
-	if lastShards != 3 {
-		t.Fatalf("sharded hook got shards = %d, want 3", lastShards)
-	}
-	if got := scans.Load(); got != 0 {
-		t.Fatalf("sequential scans = %d, want 0", got)
-	}
-
-	if _, err := r.Get(ctx, "small"); err != nil {
-		t.Fatal(err)
-	}
-	if got := scans.Load(); got != 1 {
-		t.Fatalf("small dataset took the sharded path (sequential scans = %d)", got)
-	}
-
-	// Dirty patches rescan only a subset and must stay sequential.
-	r.MarkDirty("big", []string{"b.gov"})
-	if _, err := r.Get(ctx, "big"); err != nil {
-		t.Fatal(err)
-	}
-	if got := shardedScans.Load(); got != 1 {
-		t.Fatalf("dirty patch took the sharded path (sharded scans = %d)", got)
-	}
-	if got := scans.Load(); got != 2 {
-		t.Fatalf("sequential scans = %d, want 2 after patch", got)
-	}
-}

@@ -198,7 +198,7 @@ func TestMarkDirtyRacingGetDoomsBuildOnce(t *testing.T) {
 }
 
 // TestPatchFallsBackOnCorpusChange pins the slow path: when the host
-// list itself changed, the patch reassembles through the Builder replay
+// list itself changed, the patch reassembles the corpus in host order
 // (every current host present) instead of the delta splice.
 func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 	m := &mutableWorld{hsts: map[string]bool{}}

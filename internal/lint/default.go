@@ -34,9 +34,9 @@ var WallClockPackages = []string{
 }
 
 // LongRunningPackages are the packages whose goroutines live for a whole
-// suite run (the scheduler, fleet dispatch, the dataset pool, the sharded
-// builders, the scan worker pools, the observatory loop, the query API
-// and its load generator); chanleak polices their spawn sites.
+// suite run (the scheduler, fleet dispatch, the dataset pool, the scan
+// worker pool, the observatory loop, the query API and its load
+// generator); chanleak polices their spawn sites.
 var LongRunningPackages = []string{
 	"repro/internal/core",
 	"repro/internal/acmefleet",
@@ -70,7 +70,6 @@ var HotPathFuncs = []string{
 	"repro/internal/scanner.append*",
 	"repro/internal/cert.Append*",
 	"repro/internal/resultset.build",
-	"repro/internal/resultset.Builder.Add",
 	"repro/internal/serve.append*",
 	"repro/internal/simnet.Pipe",
 	"repro/internal/simnet.pipeBetween",

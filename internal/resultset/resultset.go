@@ -5,15 +5,12 @@
 // counts (the Table 2 tallies, key/signature/version cells) every
 // experiment used to recompute with its own loop over the raw slice.
 //
-// A Set is built in one shot with New, incrementally by feeding a Builder
-// and finalizing with Build, or — the preferred entry point at scale —
-// sharded with ScanSharded: the host list is partitioned contiguously
-// (scanner.Partition), each shard scans and builds its own Set with no
-// cross-shard locks, and Merge recombines the per-shard indexes
-// bit-identically to a sequential build. Once built, a Set is immutable:
-// every analysis, report and disclosure pass serves itself from the same
-// indexes, so the corpus is walked exactly once no matter how many tables
-// and figures are derived from it.
+// A Set is built once with New over a complete result slice, usually
+// straight from Scanner.ScanAll, and patched afterwards only through
+// ApplyDelta. Once built, a Set is immutable: every analysis, report and
+// disclosure pass serves itself from the same indexes, so the corpus is
+// walked exactly once no matter how many tables and figures are derived
+// from it.
 //
 // The build itself is two-pass: pass A walks the results once, interning
 // every index key to a dense id and counting bucket cardinalities; pass B
@@ -52,7 +49,9 @@ type Options struct {
 	// positive for the rank index to build.
 	RankBuckets int
 	RankMax     int
-	// SizeHint pre-sizes the result slice and host index.
+	// SizeHint is read by nothing in this package: New adopts a slice the
+	// caller already sized. It stays only because the perfbench harness
+	// sets it, and goes with the next change to that harness.
 	SizeHint int
 }
 
@@ -152,54 +151,18 @@ type Set struct {
 }
 
 // combKey is the value identity of one key-type × signing-algorithm
-// cell — stable across shards and delta generations, unlike the
-// per-build cell positions.
+// cell — stable across delta generations, unlike the per-build cell
+// positions.
 type combKey struct {
 	hk  uint64
 	sig int32
 }
 
-// Builder accumulates results into a Set. Add must be called from a
-// single goroutine, in scan input order; distinct Builders are fully
-// independent, so per-shard builders need no locking. Build finalizes
-// and the Builder must not be reused.
-type Builder struct {
-	opts    Options
-	results []scanner.Result
-}
-
-// NewBuilder starts an index build.
-func NewBuilder(opts Options) *Builder {
-	hint := opts.SizeHint
-	if hint < 0 {
-		hint = 0
-	}
-	return &Builder{opts: opts, results: make([]scanner.Result, 0, hint)}
-}
-
-// newShardBuilder starts a build whose results land in buf (a zero-length
-// slice with capacity for the whole shard), letting sharded scans append
-// into one shared backing array and merge without copying results.
-func newShardBuilder(opts Options, buf []scanner.Result) *Builder {
-	return &Builder{opts: opts, results: buf}
-}
-
-// New builds a Set from an already-collected result slice (the slice is
-// retained; the caller must not mutate it afterwards).
+// New builds a Set over an already-collected result slice — typically
+// Scanner.ScanAll's output. The slice is adopted without copying; the
+// caller must not mutate it afterwards.
 func New(results []scanner.Result, opts Options) *Set {
 	return build(results, opts)
-}
-
-// Add records one result. Indexing is deferred to Build.
-func (b *Builder) Add(r scanner.Result) {
-	b.results = append(b.results, r)
-}
-
-// Build finalizes the Set; the Builder must not be reused.
-func (b *Builder) Build() *Set {
-	s := build(b.results, b.opts)
-	b.results = nil
-	return s
 }
 
 // densePos maps a small non-negative integer key (an enum value) to its
@@ -308,7 +271,7 @@ func build(results []scanner.Result, opts Options) *Set {
 	combPos := make(map[uint64]int32, 16)
 
 	// Cell state: slot-ordered cells plus each cell's first contributing
-	// result index and value key (what ApplyDelta and Merge rekey on).
+	// result index and value key (what ApplyDelta rekeys on).
 	var hostKeyCells, sigAlgoCells, combinedCells, versionCells []Cell
 	var hkFirst, sigFirst, combFirst, verFirst []int32
 	var hkKeys []uint64

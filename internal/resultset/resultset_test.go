@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/hosting"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
 	"repro/internal/stats"
@@ -20,9 +22,13 @@ var (
 
 const rankBuckets = 50
 
-func testOptions() resultset.Options {
+func testOptions() resultset.Options { return optionsFor(testWorld) }
+
+// optionsFor frames w's worldwide corpus the way core does: country
+// attribution plus the Figure 7 rank buckets.
+func optionsFor(w *world.World) resultset.Options {
 	rankOf := func(h string) (int, bool) {
-		for _, rh := range testWorld.TopLists.TrancoGov {
+		for _, rh := range w.TopLists.TrancoGov {
 			if rh.Host == h {
 				return rh.Rank, true
 			}
@@ -30,10 +36,10 @@ func testOptions() resultset.Options {
 		return 0, false
 	}
 	return resultset.Options{
-		CountryOf:   testWorld.CountryOf,
+		CountryOf:   w.CountryOf,
 		RankOf:      rankOf,
 		RankBuckets: rankBuckets,
-		RankMax:     testWorld.TopLists.Max,
+		RankMax:     w.TopLists.Max,
 	}
 }
 
@@ -281,35 +287,23 @@ func TestInvalidHostsInInputOrder(t *testing.T) {
 	}
 }
 
-// TestStreamingBuildMatchesOneShot: feeding a Builder result-by-result
-// (the ScanStream path) yields the same indexes as New.
-func TestStreamingBuildMatchesOneShot(t *testing.T) {
-	rs := raw(t)
-	b := resultset.NewBuilder(testOptions())
-	for i := range rs {
-		b.Add(rs[i])
+// TestRegistryBuildMatchesOneWorkerScan: the registry's worldwide build
+// (the scanner's worker pool, indexed by New) equals, accessor for
+// accessor, New over a one-worker ScanAll of the same host list.
+func TestRegistryBuildMatchesOneWorkerScan(t *testing.T) {
+	ctx := context.Background()
+	s := core.MustNewStudy(world.TestConfig())
+	got, err := s.Dataset(ctx, "worldwide")
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamed := b.Build()
-	oneShot := set(t)
-
-	if !reflect.DeepEqual(streamed.Counts(), oneShot.Counts()) {
-		t.Error("counts diverge between streamed and one-shot builds")
+	sc := s.Scanner()
+	sc.Cfg.Concurrency = 1
+	want := resultset.New(sc.ScanAll(ctx, s.World.GovHosts), optionsFor(s.World))
+	if !reflect.DeepEqual(got.Results(), want.Results()) {
+		t.Fatal("registry build and one-worker scan return different results")
 	}
-	if !reflect.DeepEqual(streamed.Issuers(), oneShot.Issuers()) {
-		t.Error("issuer order diverges")
-	}
-	if !reflect.DeepEqual(streamed.Countries(), oneShot.Countries()) {
-		t.Error("country order diverges")
-	}
-	if !reflect.DeepEqual(streamed.Fingerprints(), oneShot.Fingerprints()) {
-		t.Error("fingerprint order diverges")
-	}
-	if !reflect.DeepEqual(streamed.HostKeyCells(), oneShot.HostKeyCells()) {
-		t.Error("key cells diverge")
-	}
-	if !reflect.DeepEqual(streamed.RankBuckets(), oneShot.RankBuckets()) {
-		t.Error("rank buckets diverge")
-	}
+	assertSetsEqual(t, got, want)
 }
 
 // TestRebuildDeterministic: two builds over the same results expose
@@ -334,4 +328,137 @@ func containsInt(xs []int, want int) bool {
 		}
 	}
 	return false
+}
+
+// assertSetsEqual compares every accessor of two Sets.
+func assertSetsEqual(t *testing.T, got, want *resultset.Set) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.At(i).Hostname != want.At(i).Hostname {
+			t.Fatalf("result %d reordered: %q vs %q", i, got.At(i).Hostname, want.At(i).Hostname)
+		}
+	}
+	if !reflect.DeepEqual(got.Counts(), want.Counts()) {
+		t.Errorf("Counts diverge: %+v vs %+v", got.Counts(), want.Counts())
+	}
+	if !reflect.DeepEqual(got.Categories(), want.Categories()) {
+		t.Errorf("category order diverges: %v vs %v", got.Categories(), want.Categories())
+	}
+	for _, cat := range want.Categories() {
+		if !reflect.DeepEqual(got.ByCategory(cat), want.ByCategory(cat)) {
+			t.Errorf("ByCategory(%v) diverges", cat)
+		}
+	}
+	if !reflect.DeepEqual(got.Exceptions(), want.Exceptions()) {
+		t.Errorf("exception order diverges")
+	}
+	for _, e := range want.Exceptions() {
+		if !reflect.DeepEqual(got.ByException(e), want.ByException(e)) {
+			t.Errorf("ByException(%v) diverges", e)
+		}
+	}
+	if !reflect.DeepEqual(got.Countries(), want.Countries()) {
+		t.Errorf("country order diverges")
+	}
+	for _, cc := range want.Countries() {
+		if !reflect.DeepEqual(got.ByCountry(cc), want.ByCountry(cc)) {
+			t.Errorf("ByCountry(%q) diverges", cc)
+		}
+	}
+	if !reflect.DeepEqual(got.CountryAggs(), want.CountryAggs()) {
+		t.Errorf("country aggregates diverge")
+	}
+	if !reflect.DeepEqual(got.Issuers(), want.Issuers()) {
+		t.Errorf("issuer order diverges")
+	}
+	for _, cn := range want.Issuers() {
+		if !reflect.DeepEqual(got.ByIssuer(cn), want.ByIssuer(cn)) {
+			t.Errorf("ByIssuer(%q) diverges", cn)
+		}
+	}
+	if got.IssuerAnalyzed() != want.IssuerAnalyzed() {
+		t.Errorf("IssuerAnalyzed = %d, want %d", got.IssuerAnalyzed(), want.IssuerAnalyzed())
+	}
+	if !reflect.DeepEqual(got.Fingerprints(), want.Fingerprints()) {
+		t.Errorf("fingerprint order diverges")
+	}
+	for _, fp := range want.Fingerprints() {
+		if !reflect.DeepEqual(got.ByFingerprint(fp), want.ByFingerprint(fp)) {
+			t.Errorf("ByFingerprint diverges")
+			break
+		}
+	}
+	if !reflect.DeepEqual(got.KeyIDs(), want.KeyIDs()) {
+		t.Errorf("key-ID order diverges")
+	}
+	for _, id := range want.KeyIDs() {
+		if !reflect.DeepEqual(got.ByKeyID(id), want.ByKeyID(id)) {
+			t.Errorf("ByKeyID diverges")
+			break
+		}
+	}
+	if !reflect.DeepEqual(got.Providers(), want.Providers()) {
+		t.Errorf("provider order diverges")
+	}
+	for _, p := range want.Providers() {
+		if !reflect.DeepEqual(got.ByProvider(p), want.ByProvider(p)) {
+			t.Errorf("ByProvider(%q) diverges", p)
+		}
+	}
+	kinds := map[hosting.Kind]bool{}
+	var kindOrder []hosting.Kind
+	rs := want.Results()
+	for i := range rs {
+		if rs[i].Available && !kinds[rs[i].HostKind] {
+			kinds[rs[i].HostKind] = true
+			kindOrder = append(kindOrder, rs[i].HostKind)
+		}
+	}
+	for _, k := range kindOrder {
+		if !reflect.DeepEqual(got.ByKind(k), want.ByKind(k)) {
+			t.Errorf("ByKind(%v) diverges", k)
+		}
+	}
+	if !reflect.DeepEqual(got.Chained(), want.Chained()) {
+		t.Errorf("Chained diverges")
+	}
+	if !reflect.DeepEqual(got.InvalidHosts(), want.InvalidHosts()) {
+		t.Errorf("InvalidHosts diverge")
+	}
+	if !reflect.DeepEqual(got.FailedUpgrades(), want.FailedUpgrades()) {
+		t.Errorf("FailedUpgrades diverge")
+	}
+	if !reflect.DeepEqual(got.Ranked(), want.Ranked()) {
+		t.Errorf("Ranked diverges")
+	}
+	if !reflect.DeepEqual(got.RankBuckets(), want.RankBuckets()) {
+		t.Errorf("RankBuckets diverge")
+	}
+	if !reflect.DeepEqual(got.HostKeyCells(), want.HostKeyCells()) {
+		t.Errorf("host-key cells diverge")
+	}
+	if !reflect.DeepEqual(got.SigAlgoCells(), want.SigAlgoCells()) {
+		t.Errorf("signature cells diverge")
+	}
+	if !reflect.DeepEqual(got.CombinedCells(), want.CombinedCells()) {
+		t.Errorf("combined cells diverge")
+	}
+	if !reflect.DeepEqual(got.VersionCells(), want.VersionCells()) {
+		t.Errorf("version cells diverge")
+	}
+	if got.WeakSignatureHosts() != want.WeakSignatureHosts() {
+		t.Errorf("WeakSignatureHosts diverges")
+	}
+	if got.SmallRSAHosts() != want.SmallRSAHosts() {
+		t.Errorf("SmallRSAHosts diverges")
+	}
+	for i := range rs {
+		r, ok := got.Lookup(rs[i].Hostname)
+		if !ok || r.Hostname != rs[i].Hostname {
+			t.Fatalf("merged Lookup(%q) failed", rs[i].Hostname)
+		}
+	}
 }

@@ -4,6 +4,10 @@
 // certificate, validates the chain against the configured trust store, and
 // classifies failures into the paper's Table 2 taxonomy. Hosts failing to
 // connect are retried up to three times before being declared unavailable.
+//
+// Scan probes one host; ScanAll runs a host list through a pool of
+// concurrent workers and returns the results in input order, the single
+// driver every corpus scan goes through.
 package scanner
 
 import (
@@ -14,6 +18,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cert"
@@ -612,123 +617,57 @@ func classifyTLSErr(err error) (Exception, string) {
 	}
 }
 
-// ScanAll probes every hostname with bounded concurrency, preserving input
-// order in the result slice. Hosts skipped (context cancellation, breaker)
-// still carry their Hostname, so downstream analysis never sees anonymous
-// rows. When a Journal is configured, hosts it already holds are restored
-// without re-scanning and every newly completed host is checkpointed, so
-// an interrupted run resumes from the last completed host.
+// ScanAll probes every hostname and returns one result per hostname, in
+// input order. It is the package's only scan driver: min(Concurrency,
+// len(hostnames)) workers each claim the next index from a shared counter
+// and write results[i] in place; callers index the slice once with
+// resultset.New.
 //
-// ScanAll is a thin collector over ScanStream. Callers that aggregate
-// large corpora should prefer the sharded path (resultset.ScanSharded,
-// built on Partition + ScanShard): it feeds one index builder per shard
-// with no global in-order window and merges deterministically. ScanStream
-// remains the streaming entry point when a single in-order consumer is
-// required.
+// Each host is handled on its own (see scanOne): a host the Journal
+// already holds is restored without re-scanning, even after cancellation;
+// a host claimed after the context is cancelled becomes a placeholder
+// carrying only its Hostname, so downstream analysis never sees anonymous
+// rows; every other host is scanned and, when a Journal is configured,
+// checkpointed, so an interrupted run resumes from the completed hosts.
 func (s *Scanner) ScanAll(ctx context.Context, hostnames []string) []Result {
-	results := make([]Result, 0, len(hostnames))
-	s.ScanStream(ctx, hostnames, func(r Result) { results = append(results, r) })
-	return results
-}
-
-// streamItem carries one completed scan to the in-order emitter.
-type streamItem struct {
-	i int
-	r Result
-}
-
-// ScanStream probes every hostname with bounded concurrency and delivers
-// each result to fn in input order, as soon as it and all of its
-// predecessors have finished — so an aggregation layer builds indexes
-// concurrently with the scan instead of buffering the whole corpus.
-// fn runs on the calling goroutine and needs no locking.
-//
-// Semantics match ScanAll exactly: journaled hosts are restored without
-// re-scanning, newly completed hosts are checkpointed, and after context
-// cancellation the remaining unscanned hosts are delivered as
-// hostname-only placeholder results. Out-of-order completions are held in
-// a reorder window bounded by a small multiple of the worker count, so
-// memory stays O(workers), not O(hosts).
-//
-// The reorder window serializes every consumer behind the slowest
-// in-flight probe; at large scale prefer resultset.ScanSharded, which
-// partitions the host list (Partition) and feeds one builder per shard
-// directly (ScanShard) with no global in-order bottleneck.
-func (s *Scanner) ScanStream(ctx context.Context, hostnames []string, fn func(Result)) {
-	journal := s.Cfg.Journal
-
-	// A fixed pool of workers drains an index channel — no goroutine churn
-	// per host, and memory stays bounded by the pool size rather than the
-	// input length.
-	workers := min(s.Cfg.Concurrency, len(hostnames))
-	if workers < 1 {
-		workers = 1
-	}
-	// window caps how many results may be in flight past the emitter: the
-	// feeder blocks once the reorder buffer is this full.
-	window := workers * 4
-	idx := make(chan int)
-	out := make(chan streamItem, window)
-	sem := make(chan struct{}, window)
-
+	results := make([]Result, len(hostnames))
+	workers := min(max(s.Cfg.Concurrency, 1), len(hostnames))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for range workers {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				r := s.Scan(ctx, hostnames[i])
-				if journal != nil && ctx.Err() == nil {
-					// Only completed scans are checkpointed; a scan degraded
-					// by cancellation must be redone on resume.
-					journal.Append(r)
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(hostnames) {
+					return
 				}
-				out <- streamItem{i, r}
+				results[i] = s.scanOne(ctx, hostnames[i])
 			}
 		}()
 	}
+	wg.Wait()
+	return results
+}
 
-	// The feeder mirrors ScanAll's dispatch loop: restore journaled hosts
-	// inline, stop dispatching at the first non-journaled host after
-	// cancellation, and emit the rest as placeholders.
-	go func() {
-		for i, h := range hostnames {
-			if journal != nil {
-				if prev, ok := journal.Lookup(h); ok {
-					sem <- struct{}{}
-					out <- streamItem{i, prev}
-					continue
-				}
-			}
-			if ctx.Err() != nil {
-				for j := i; j < len(hostnames); j++ {
-					sem <- struct{}{}
-					out <- streamItem{j, Result{Hostname: hostnames[j]}}
-				}
-				break
-			}
-			sem <- struct{}{}
-			//lint:allow chanleak workers drain idx until close, and this feeder closes it on every path (including cancellation, via the loop break above)
-			idx <- i
-		}
-		close(idx)
-	}()
-
-	// Emit in input order from the reorder buffer, on this goroutine.
-	pending := make(map[int]Result, window)
-	for next := 0; next < len(hostnames); {
-		item := <-out
-		pending[item.i] = item.r
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			<-sem
-			fn(r)
-			next++
+// scanOne is ScanAll's per-host step: journal restore first, then the
+// cancellation placeholder, then a scan that is checkpointed only when it
+// completed — a scan degraded by cancellation must be redone on resume.
+func (s *Scanner) scanOne(ctx context.Context, hostname string) Result {
+	journal := s.Cfg.Journal
+	if journal != nil {
+		if prev, ok := journal.Lookup(hostname); ok {
+			return prev
 		}
 	}
-	wg.Wait()
+	if ctx.Err() != nil {
+		return Result{Hostname: hostname}
+	}
+	r := s.Scan(ctx, hostname)
+	if journal != nil && ctx.Err() == nil {
+		// A failed checkpoint costs only a rescan of this host on resume.
+		_ = journal.Append(r)
+	}
+	return r
 }

@@ -10,23 +10,15 @@
 # zero-copy exporter.
 #
 # Pairs whose baseline is a live benchmark (ReportSuite vs
-# ReportSuiteSequential, AggregateIndexed/AggregateSharded vs
-# AggregateLegacy) re-derive the baseline from the same run on the same
-# commit, so the table can't silently compare different workloads.
+# ReportSuiteSequential, AggregateIndexed vs AggregateLegacy) re-derive
+# the baseline from the same run on the same commit, so the table can't
+# silently compare different workloads.
 #
-# Sharded-aggregation honesty: at the default bench scale (0.05 ≈ 6.7k
-# hosts) the merged build with shards ≥ 2 is EXPECTED to lose to the
-# legacy loops — the merge overhead only amortizes at scale, which is why
-# core.Study auto-shards at autoShardHosts = 100k hosts and not below. So
-# the aggregation pair is measured twice: once at the default scale
-# (recorded, not gated) and once at GOVHTTPS_BENCH_SCALE=1.0 (135,309
-# hosts, past the auto-shard threshold — the regime the production path
-# actually runs sharded in). The JSON records scale, host count,
-# GOMAXPROCS, and the measured crossover shard count for both.
-#
-# Incremental-patch honesty: ApplyDelta vs the Builder replay is measured
-# at both scales and k ∈ {100, 1000, 10000} dirty hosts, recording the
-# per-k speedup and the crossover k (the smallest k where the replay wins
+# Incremental-patch honesty: ApplyDelta vs the full rebuild (reassemble
+# the corpus, index it with resultset.New) is measured at the default
+# scale and at GOVHTTPS_BENCH_SCALE=1.0 (135,309 hosts, the paper's
+# population) and k ∈ {100, 1000, 10000} dirty hosts, recording the
+# per-k speedup and the crossover k (the smallest k where the rebuild wins
 # back; 0 when the delta wins everywhere measured). The observatory
 # section records the continuous loop's wall clock and re-scan throughput.
 #
@@ -45,14 +37,8 @@
 #   - JSONExport allocates more per op than the recorded pre-rewrite
 #     baseline: the zero-copy exporter must not regress back toward
 #     reflection-based encoding; or
-#   - at the auto-shard scale, with real parallelism available
-#     (GOMAXPROCS >= 2), no shard count >= 2 beats the legacy loops:
-#     that is the regime sharding exists for. On a single-core host the
-#     auto-shard-scale numbers are recorded (crossover included) but the
-#     gate is informational only — one core cannot be expected to pay the
-#     merge and win on wall clock; or
-#   - at the auto-shard scale, ApplyDelta with k=100 dirty hosts of the
-#     ~135k corpus is not at least 5x faster than the Builder replay:
+#   - at the full scale, ApplyDelta with k=100 dirty hosts of the
+#     ~135k corpus is not at least 5x faster than the full rebuild:
 #     that margin is the reason dataset.Registry.patch reroutes through
 #     the delta at all; or
 #   - a cached serve query costs more than serve_allocs_budget allocations
@@ -66,36 +52,34 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_scan.json}"
 gomaxprocs="${GOMAXPROCS:-$(nproc)}"
-auto_scale="1.0"
+full_scale="1.0"
 
 # One `go test` process per benchmark: heap state left behind by one
 # benchmark (a worldwide scan leaves ~70 MB of results) skews the GC
 # behaviour of the next, and the baselines were recorded per-benchmark.
 #
-# AggregateIndexed/AggregateSharded/AggregateLegacy measure the
-# aggregation layer itself over one shared pre-collected result slice
-# (the scan runs outside every timed region): the one-shot indexed build,
-# the partitioned per-shard builds recombined by the deterministic merge,
-# and the per-experiment loops the analysis layer ran before the
-# dataset-registry refactor. ReportSuite/ReportSuiteSequential are the
-# same live pair for the experiment scheduler; ScanWorldwideSharded is
-# the end-to-end shard-scaling curve (scan + build + merge).
+# AggregateIndexed/AggregateLegacy measure the aggregation layer itself
+# over one shared pre-collected result slice (the scan runs outside every
+# timed region): the one-shot indexed build and the per-experiment loops
+# the analysis layer ran before the dataset-registry refactor.
+# ReportSuite/ReportSuiteSequential are the same live pair for the
+# experiment scheduler.
 raw=""
-for b in ScanWorldwide ScanWorldwideSharded WorldBuild ScanSingleHost JSONExport ReportSuite ReportSuiteForced ReportSuiteSequential AggregateIndexed AggregateSharded AggregateLegacy RenewalFleet ApplyDelta ApplyDeltaRebuild Observatory ServeQuery ServeQueryUncached ServeExport; do
+for b in ScanWorldwide WorldBuild ScanSingleHost JSONExport ReportSuite ReportSuiteForced ReportSuiteSequential AggregateIndexed AggregateLegacy RenewalFleet ApplyDelta ApplyDeltaRebuild Observatory ServeQuery ServeQueryUncached ServeExport; do
     raw+="$(go test -run '^$' -bench "^Benchmark${b}\$" -benchmem -count "${BENCH_COUNT:-3}" .)"
     raw+=$'\n'
 done
 
-# Second pass at the auto-shard scale: the world is 20x larger, so only
-# the benchmarks the crossovers and the delta gate need rerun.
-raw+="=== auto-shard scale ==="$'\n'
-for b in AggregateSharded AggregateLegacy ApplyDelta ApplyDeltaRebuild; do
-    raw+="$(GOVHTTPS_BENCH_SCALE=$auto_scale go test -run '^$' -bench "^Benchmark${b}\$" -benchmem -count "${BENCH_COUNT:-3}" .)"
+# Second pass at the full scale: the world is 20x larger, so only the
+# benchmarks the delta gate needs rerun.
+raw+="=== full scale ==="$'\n'
+for b in ApplyDelta ApplyDeltaRebuild; do
+    raw+="$(GOVHTTPS_BENCH_SCALE=$full_scale go test -run '^$' -bench "^Benchmark${b}\$" -benchmem -count "${BENCH_COUNT:-3}" .)"
     raw+=$'\n'
 done
 printf '%s\n' "$raw"
 
-printf '%s\n' "$raw" | awk -v out="$out" -v gmp="$gomaxprocs" -v autoscale="$auto_scale" '
+printf '%s\n' "$raw" | awk -v out="$out" -v gmp="$gomaxprocs" -v fullscale="$full_scale" '
 BEGIN {
     # ns/op at the recorded seed commits (one core, scale 0.05).
     base["ScanWorldwide"]  = 635628502
@@ -113,7 +97,6 @@ BEGIN {
     order[3] = "ScanSingleHost"; order[4] = "JSONExport"
     order[5] = "ReportSuite"
     nOrder = 5
-    shardCounts = "1 2 4 8"
     patchKs = "100 1000 10000"
     serveClients = "1 4 16"
     # Allocations allowed per cached serve request at clients=1 (measured
@@ -122,7 +105,7 @@ BEGIN {
     serve_allocs_budget = 10.0
     pfx = ""
 }
-/^=== auto-shard scale ===$/ { pfx = "auto:"; next }
+/^=== full scale ===$/ { pfx = "full:"; next }
 /^Benchmark/ {
     name = $1
     sub(/^Benchmark/, "", name)
@@ -145,35 +128,6 @@ BEGIN {
         else if (u == "qps" && v > qps[name]) qps[name] = v
     }
 }
-# shardBlock emits one aggregation_sharded JSON object for prefix p at
-# scale s, returning the best shards>=2 speedup via the globals bestOf[p]
-# and crossOf[p] (smallest winning shard count, 0 if none wins).
-function shardBlock(p, s, gated,    i, n, sc, v, sp, legacy) {
-    legacy = cur[p "AggregateLegacy"]
-    printf "    \"scale\": %s,\n", s > out
-    printf "    \"hosts\": %d,\n", hosts[p "AggregateLegacy"] > out
-    printf "    \"gomaxprocs\": %d,\n", gmp > out
-    printf "    \"legacy_ns_per_op\": %d,\n    \"shards_ns_per_op\": {", legacy > out
-    n = split(shardCounts, sc, " ")
-    for (i = 1; i <= n; i++)
-        printf "%s\n      \"%s\": %d", (i > 1 ? "," : ""), sc[i], cur[p "AggregateSharded/shards=" sc[i]] > out
-    printf "\n    },\n    \"speedup_vs_legacy\": {" > out
-    # best spans the merged builds only (shards >= 2): shards=1 is the
-    # merge-free control and must not satisfy the merge gate.
-    bestOf[p] = 0; crossOf[p] = 0
-    for (i = 1; i <= n; i++) {
-        v = cur[p "AggregateSharded/shards=" sc[i]]
-        sp = (v > 0 ? legacy / v : 0)
-        if (sc[i] != "1") {
-            if (sp > bestOf[p]) bestOf[p] = sp
-            if (sp >= 1.0 && crossOf[p] == 0) crossOf[p] = sc[i]
-        }
-        printf "%s\n      \"%s\": %.2f", (i > 1 ? "," : ""), sc[i], sp > out
-    }
-    printf "\n    },\n    \"best_speedup\": %.2f,\n", bestOf[p] > out
-    printf "    \"crossover_shards\": %d,\n", crossOf[p] > out
-    printf "    \"gate_enforced\": %s\n", gated > out
-}
 # serveBlock emits one serve-mix JSON object: per-client-count ns/op,
 # throughput, latency percentiles, and allocs per request.
 function serveBlock(bench,    i, n, cl, nm, sep) {
@@ -194,9 +148,9 @@ function serveBlock(bench,    i, n, cl, nm, sep) {
     printf "\n" > out
 }
 # patchBlock emits one incremental_patch JSON object for prefix p at scale
-# s: ApplyDelta vs the Builder replay per dirty-set size k, the k=100
+# s: ApplyDelta vs the full rebuild per dirty-set size k, the k=100
 # speedup via the global k100Of[p], and the crossover k (smallest measured
-# k where the replay wins, 0 if the delta wins everywhere). Skipped ks
+# k where the rebuild wins, 0 if the delta wins everywhere). Skipped ks
 # (k >= corpus at the small scale) are omitted.
 function patchBlock(p, s, gated,    i, n, kc, d, rb, sp, sep) {
     printf "    \"scale\": %s,\n", s > out
@@ -236,7 +190,6 @@ END {
     # Satellite fix: the scheduled suite is baselined against the
     # sequential run from this same invocation, not a recorded number.
     base["ReportSuite"] = cur["ReportSuiteSequential"]
-    gateAuto = (gmp >= 2 ? "true" : "false")
     printf "{\n  \"scale\": %s,\n", (ENVIRON["GOVHTTPS_BENCH_SCALE"] != "" ? ENVIRON["GOVHTTPS_BENCH_SCALE"] : "0.05") > out
     printf "  \"baseline_ns_per_op\": {" > out
     for (i = 1; i <= nOrder; i++)
@@ -254,22 +207,6 @@ END {
     printf "    \"indexed_ns_per_op\": %d,\n", cur["AggregateIndexed"] > out
     printf "    \"legacy_ns_per_op\": %d,\n", cur["AggregateLegacy"] > out
     printf "    \"speedup\": %.2f\n", (cur["AggregateIndexed"] > 0 ? cur["AggregateLegacy"] / cur["AggregateIndexed"] : 0) > out
-    # Sharded aggregation at the default scale: recorded for the curve,
-    # never gated — below autoShardHosts the merge overhead is expected to
-    # lose, which is exactly why the production path does not shard there.
-    printf "  },\n  \"aggregation_sharded\": {\n" > out
-    shardBlock("", (ENVIRON["GOVHTTPS_BENCH_SCALE"] != "" ? ENVIRON["GOVHTTPS_BENCH_SCALE"] : "0.05"), "false")
-    # Sharded aggregation at the auto-shard scale (the regime the
-    # production path shards in); the merge gate reads this block.
-    printf "  },\n  \"aggregation_sharded_auto_scale\": {\n" > out
-    shardBlock("auto:", autoscale, gateAuto)
-    # End-to-end shard-scaling curve: partition + concurrent scan/build +
-    # merge, scan included (shards=1 is the sequential control).
-    printf "  },\n  \"scan_worldwide_sharded_ns_per_op\": {" > out
-    nShards = split(shardCounts, sc, " ")
-    for (i = 1; i <= nShards; i++)
-        printf "%s\n    \"%s\": %d", (i > 1 ? "," : ""), sc[i], cur["ScanWorldwideSharded/shards=" sc[i]] > out
-    printf "\n" > out
     # Report-suite triple: all sides measured live in this run — the
     # sequential loop baselines both the policy run (which itself falls
     # back to sequential on a 1-core host) and the forced-parallel run
@@ -283,12 +220,11 @@ END {
     printf "    \"speedup_vs_sequential\": %.2f,\n", (cur["ReportSuite"] > 0 ? cur["ReportSuiteSequential"] / cur["ReportSuite"] : 0) > out
     printf "    \"forced_speedup_vs_sequential\": %.2f\n", (cur["ReportSuiteForced"] > 0 ? cur["ReportSuiteSequential"] / cur["ReportSuiteForced"] : 0) > out
     # Incremental patch at the default scale: recorded for the curve, the
-    # gate reads the auto-shard-scale block (the corpus the 5x claim is
-    # about).
+    # gate reads the full-scale block (the corpus the 5x claim is about).
     printf "  },\n  \"incremental_patch\": {\n" > out
     patchBlock("", (ENVIRON["GOVHTTPS_BENCH_SCALE"] != "" ? ENVIRON["GOVHTTPS_BENCH_SCALE"] : "0.05"), "false")
-    printf "  },\n  \"incremental_patch_auto_scale\": {\n" > out
-    patchBlock("auto:", autoscale, "true")
+    printf "  },\n  \"incremental_patch_full_scale\": {\n" > out
+    patchBlock("full:", fullscale, "true")
     # Observatory: wall clock and re-scan throughput of the continuous
     # loop (20 virtual ticks, churn-injected private world per op).
     printf "  },\n  \"observatory\": {\n" > out
@@ -327,14 +263,9 @@ END {
             allocs["JSONExport"], base_allocs["JSONExport"] > "/dev/stderr"
         exit 1
     }
-    if (gmp >= 2 && bestOf["auto:"] < 1.0) {
-        printf "FAIL: at the auto-shard scale (%s, %d hosts, GOMAXPROCS=%d) no shard count >= 2 beats the legacy loops: best speedup %.2f < 1.00\n",
-            autoscale, hosts["auto:AggregateLegacy"], gmp, bestOf["auto:"] > "/dev/stderr"
-        exit 1
-    }
-    if (k100Of["auto:"] < 5.0) {
-        printf "FAIL: at the auto-shard scale (%s, %d hosts) ApplyDelta k=100 is only %.2fx the Builder replay (need >= 5.00)\n",
-            autoscale, hosts["auto:ApplyDelta/k=100"], k100Of["auto:"] > "/dev/stderr"
+    if (k100Of["full:"] < 5.0) {
+        printf "FAIL: at the full scale (%s, %d hosts) ApplyDelta k=100 is only %.2fx the full rebuild (need >= 5.00)\n",
+            fullscale, hosts["full:ApplyDelta/k=100"], k100Of["full:"] > "/dev/stderr"
         exit 1
     }
     servePerReq = (reqs["ServeQuery/clients=1"] > 0 ? allocs["ServeQuery/clients=1"] / reqs["ServeQuery/clients=1"] : 0)
@@ -343,9 +274,6 @@ END {
             servePerReq, serve_allocs_budget > "/dev/stderr"
         exit 1
     }
-    if (gmp < 2)
-        printf "NOTE: GOMAXPROCS=%d — auto-shard-scale merge gate informational only (best %.2f, crossover shards=%d)\n",
-            gmp, bestOf["auto:"], crossOf["auto:"] > "/dev/stderr"
 }
 '
 echo "wrote $out"
