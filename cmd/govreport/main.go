@@ -6,7 +6,6 @@
 //	govreport -datasets             # show the dataset registry
 //	govreport -exp T2               # one experiment
 //	govreport -all                  # every experiment in order
-//	govreport -all -jobs 4          # same output, scheduled concurrently
 //	govreport -all -scale 0.05      # faster, scaled-down world
 package main
 
@@ -26,7 +25,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "population scale")
 	exp := flag.String("exp", "", "experiment ID (e.g. T2, F7, TA1)")
 	all := flag.Bool("all", false, "run every experiment")
-	jobs := flag.Int("jobs", 0, "experiment/dataset concurrency for -all (0 = GOMAXPROCS, 1 = sequential)")
 	list := flag.Bool("list", false, "list experiments")
 	datasets := flag.Bool("datasets", false, "list the named datasets the experiments scan")
 	flag.Parse()
@@ -56,7 +54,7 @@ func main() {
 	}
 
 	if *all {
-		results, err := core.RunAllExperiments(ctx, study, core.SuiteOptions{Jobs: *jobs})
+		results, err := core.RunAllExperiments(ctx, study, core.SuiteOptions{})
 		for _, r := range results {
 			if werr := report.WriteArtifact(os.Stdout, r.ID, r.Title, r.Output); werr != nil {
 				fatal(werr)

@@ -44,7 +44,7 @@ func TestExperimentsListed(t *testing.T) {
 func TestRunAllExperimentsViaFacade(t *testing.T) {
 	// Use a private study: the suite includes world-mutating experiments.
 	s := MustNewStudy(SmallConfig())
-	results, err := RunAllExperiments(context.Background(), s, SuiteOptions{Jobs: 4})
+	results, err := RunAllExperiments(context.Background(), s, SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,17 +26,6 @@ type Experiment struct {
 	ID string
 	// Title describes the artifact.
 	Title string
-	// Datasets names the inputs the experiment reads: registry datasets
-	// ("worldwide", "usa:all", "rok", "usa:*" for every GSA list) plus the
-	// pseudo-resources "linkgraph" (the memoized hyperlink graph), "crawl"
-	// (a fresh BFS is the measured workload itself) and "ct" (the world's
-	// CT log, built with the world). The scheduler pre-warms the warmable
-	// ones concurrently before the experiment runs.
-	Datasets []string
-	// MutatesWorld marks experiments that remediate the world and rescan
-	// (S722, E4). The scheduler runs them alone, as barriers: nothing else
-	// may scan while the world changes underneath.
-	MutatesWorld bool
 	// Run computes and renders the artifact.
 	Run func(ctx context.Context, s *Study) (string, error)
 }
@@ -51,48 +40,43 @@ var (
 // once; callers must not mutate the returned slice.
 func registry() ([]Experiment, map[string]int) {
 	registryOnce.Do(func() {
-		ww := []string{"worldwide"}
 		registryExps = []Experiment{
 			{ID: "T1", Title: "Table 1: Overlap with public top millions", Run: runT1},
-			{ID: "T2", Title: "Table 2: Worldwide validity and error taxonomy", Datasets: ww, Run: runT2},
-			{ID: "F1", Title: "Figure 1: Worldwide per-country view", Datasets: ww, Run: runF1},
-			{ID: "F2", Title: "Figure 2: Top 40 cert issuers worldwide", Datasets: ww, Run: runF2},
-			{ID: "F3", Title: "Figure 3: Certificates by issue and expiry date", Datasets: ww, Run: runF3},
-			{ID: "F4", Title: "Figure 4: Validity by key type and signing algorithm", Datasets: ww, Run: runF4},
-			{ID: "F5", Title: "Figure 5: Validity by hosting type (USA/ROK/world)", Datasets: []string{"usa:all", "rok", "worldwide"}, Run: runF5},
-			{ID: "F6", Title: "Figure 6: Validity and hosting, gov vs non-gov top million", Datasets: ww, Run: runF6},
-			{ID: "F7", Title: "Figure 7: Valid https rate by top-million rank", Datasets: ww, Run: runF7},
-			{ID: "F8", Title: "Figure 8: USA cert issuers", Datasets: []string{"usa:all"}, Run: runF8},
-			{ID: "F9", Title: "Figure 9: USA key/signing validity", Datasets: []string{"usa:all"}, Run: runF9},
-			{ID: "F10", Title: "Figure 10: USA & ROK validity by issue date", Datasets: []string{"usa:all", "rok"}, Run: runF10},
-			{ID: "F11", Title: "Figure 11: ROK cert issuers", Datasets: []string{"rok"}, Run: runF11},
-			{ID: "F12", Title: "Figure 12: ROK key/signing validity", Datasets: []string{"rok"}, Run: runF12},
-			{ID: "F13", Title: "Figure 13: Disclosure response by population rank", Datasets: ww, Run: runF13},
-			{ID: "TA1", Title: "Table A.1: US GSA dataset breakdown", Datasets: []string{"usa:*"}, Run: runTA1},
-			{ID: "TA2", Title: "Table A.2: US per-dataset vulnerability breakdown", Datasets: []string{"usa:*"}, Run: runTA2},
-			{ID: "TA3", Title: "Table A.3: South Korea dataset breakdown", Datasets: []string{"rok"}, Run: runTA3},
-			{ID: "TA4", Title: "Table A.4: South Korea vulnerability breakdown", Datasets: []string{"rok"}, Run: runTA4},
-			{ID: "FA1", Title: "Figure A.1: USA validity by hosting per dataset", Datasets: []string{"usa:*"}, Run: runFA1},
-			{ID: "FA2", Title: "Figure A.2: Top EV CAs (USA)", Datasets: []string{"usa:all"}, Run: runFA2},
-			{ID: "FA3", Title: "Figure A.3: Top EV CAs (ROK)", Datasets: []string{"rok"}, Run: runFA3},
-			{ID: "FA4", Title: "Figure A.4: Crawler effectiveness", Datasets: []string{"crawl"}, Run: runFA4},
-			{ID: "FA5", Title: "Figure A.5: Cross-government links", Datasets: []string{"linkgraph"}, Run: runFA5},
-			{ID: "FA6", Title: "Figure A.6: Top EV CAs (worldwide)", Datasets: ww, Run: runFA6},
-			{ID: "S533", Title: "Section 5.3.3: Key pair reuse", Datasets: ww, Run: runS533},
+			{ID: "T2", Title: "Table 2: Worldwide validity and error taxonomy", Run: runT2},
+			{ID: "F1", Title: "Figure 1: Worldwide per-country view", Run: runF1},
+			{ID: "F2", Title: "Figure 2: Top 40 cert issuers worldwide", Run: runF2},
+			{ID: "F3", Title: "Figure 3: Certificates by issue and expiry date", Run: runF3},
+			{ID: "F4", Title: "Figure 4: Validity by key type and signing algorithm", Run: runF4},
+			{ID: "F5", Title: "Figure 5: Validity by hosting type (USA/ROK/world)", Run: runF5},
+			{ID: "F6", Title: "Figure 6: Validity and hosting, gov vs non-gov top million", Run: runF6},
+			{ID: "F7", Title: "Figure 7: Valid https rate by top-million rank", Run: runF7},
+			{ID: "F8", Title: "Figure 8: USA cert issuers", Run: runF8},
+			{ID: "F9", Title: "Figure 9: USA key/signing validity", Run: runF9},
+			{ID: "F10", Title: "Figure 10: USA & ROK validity by issue date", Run: runF10},
+			{ID: "F11", Title: "Figure 11: ROK cert issuers", Run: runF11},
+			{ID: "F12", Title: "Figure 12: ROK key/signing validity", Run: runF12},
+			{ID: "F13", Title: "Figure 13: Disclosure response by population rank", Run: runF13},
+			{ID: "TA1", Title: "Table A.1: US GSA dataset breakdown", Run: runTA1},
+			{ID: "TA2", Title: "Table A.2: US per-dataset vulnerability breakdown", Run: runTA2},
+			{ID: "TA3", Title: "Table A.3: South Korea dataset breakdown", Run: runTA3},
+			{ID: "TA4", Title: "Table A.4: South Korea vulnerability breakdown", Run: runTA4},
+			{ID: "FA1", Title: "Figure A.1: USA validity by hosting per dataset", Run: runFA1},
+			{ID: "FA2", Title: "Figure A.2: Top EV CAs (USA)", Run: runFA2},
+			{ID: "FA3", Title: "Figure A.3: Top EV CAs (ROK)", Run: runFA3},
+			{ID: "FA4", Title: "Figure A.4: Crawler effectiveness", Run: runFA4},
+			{ID: "FA5", Title: "Figure A.5: Cross-government links", Run: runFA5},
+			{ID: "FA6", Title: "Figure A.6: Top EV CAs (worldwide)", Run: runFA6},
+			{ID: "S533", Title: "Section 5.3.3: Key pair reuse", Run: runS533},
 			{ID: "S534", Title: "Section 5.3.4: CAA record adoption", Run: runS534},
-			{ID: "S722", Title: "Section 7.2.2: Notification effectiveness", Datasets: ww, MutatesWorld: true, Run: runS722},
-			{ID: "E1", Title: "Extension: CT coverage of government certificates (§2.2)", Datasets: []string{"ct"}, Run: runE1},
-			{ID: "E2", Title: "Extension: CT lookalike monitoring (§7.3.2)", Datasets: []string{"ct"}, Run: runE2},
-			{ID: "E3", Title: "Extension: Recommendations checklist (§8)", Datasets: ww, Run: runE3},
-			{ID: "E4", Title: "Extension: Longitudinal monitoring (future work)", Datasets: ww, MutatesWorld: true, Run: runE4},
-			{ID: "E5", Title: "Extension: HSTS preload impact (§8.2)", Datasets: ww, Run: runE5},
-			{ID: "E6", Title: "Extension: §8.1 key-reuse issuance policy replay", Datasets: ww, Run: runE6},
-			// E7/E8 reach "worldwide" through FleetReport's corpus scan, so it
-			// is declared for the pre-warm alongside (E7) the post-campaign
-			// rescan dataset; E8 only reads the campaign report and never
-			// fetches "acmefleet" itself.
-			{ID: "E7", Title: "Extension: ACME renewal fleet adoption curve (§8.1)", Datasets: []string{"worldwide", "acmefleet"}, MutatesWorld: true, Run: runE7},
-			{ID: "E8", Title: "Extension: renewal fleet error-class decay (§8.1)", Datasets: []string{"worldwide"}, MutatesWorld: true, Run: runE8},
+			{ID: "S722", Title: "Section 7.2.2: Notification effectiveness", Run: runS722},
+			{ID: "E1", Title: "Extension: CT coverage of government certificates (§2.2)", Run: runE1},
+			{ID: "E2", Title: "Extension: CT lookalike monitoring (§7.3.2)", Run: runE2},
+			{ID: "E3", Title: "Extension: Recommendations checklist (§8)", Run: runE3},
+			{ID: "E4", Title: "Extension: Longitudinal monitoring (future work)", Run: runE4},
+			{ID: "E5", Title: "Extension: HSTS preload impact (§8.2)", Run: runE5},
+			{ID: "E6", Title: "Extension: §8.1 key-reuse issuance policy replay", Run: runE6},
+			{ID: "E7", Title: "Extension: ACME renewal fleet adoption curve (§8.1)", Run: runE7},
+			{ID: "E8", Title: "Extension: renewal fleet error-class decay (§8.1)", Run: runE8},
 		}
 		registryIdx = make(map[string]int, len(registryExps))
 		for i := range registryExps {
@@ -103,8 +87,7 @@ func registry() ([]Experiment, map[string]int) {
 }
 
 // Experiments returns the full registry, ordered as in DESIGN.md. The
-// slice is a copy; the Experiment values (including Datasets slices) are
-// shared and read-only.
+// slice is a copy.
 func Experiments() []Experiment {
 	exps, _ := registry()
 	out := make([]Experiment, len(exps))

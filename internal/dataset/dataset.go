@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"repro/internal/resultset"
-	"repro/internal/scanner"
 )
 
 // Source describes one registered dataset.
@@ -56,8 +55,8 @@ type entry struct {
 	invalidations int
 	set           *resultset.Set
 	// dirty records hosts whose cached results are stale (MarkDirty): the
-	// next Get patches the set by rescanning only these (plus corpus
-	// newcomers) instead of the full host list.
+	// next Get patches the set by rescanning only these instead of the
+	// full host list (see patch).
 	dirty map[string]struct{}
 	// inflight is non-nil while a scan runs; waiters block on it.
 	inflight chan struct{}
@@ -322,77 +321,34 @@ func (r *Registry) Generations() []GenerationInfo {
 	return out
 }
 
-// patch rebuilds a dataset from its cached base: only dirty hosts and
-// hosts absent from the base are rescanned. When the corpus host list is
-// unchanged, the base's indexes are patched incrementally
-// (resultset.ApplyDelta — cost proportional to the dirty set, not the
-// corpus); when hosts appeared or disappeared, the set is reassembled in
-// the source's current host order and indexed with resultset.New. Per-host
-// results are scan-order independent on fault-free worlds, so either
-// path is bit-identical to a full rescan at a fraction of the cost;
+// patch rebuilds a dataset from its cached base. When the corpus host
+// list is unchanged, only the dirty hosts are rescanned (in corpus order,
+// so the delta is deterministic) and spliced into the base's indexes by
+// resultset.ApplyDelta, at a cost proportional to the dirty set, not the
+// corpus. When the host list changed, or the delta is refused, the whole
+// corpus is rescanned. Per-host results are scan-order independent on
+// fault-free worlds, so the patch is bit-identical to a full rescan;
 // flaky worlds should use Invalidate instead (dial-ordinal fault draws
 // depend on scan makeup).
 func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, dirty map[string]struct{}) *resultset.Set {
-	hosts := src.Hosts()
+	hosts, opts := src.Hosts(), src.Opts()
 	baseResults := base.Results()
-
-	// Fast path: same corpus, same order — re-scan only the dirty hosts
-	// (in corpus order, so the delta is deterministic) and splice the
-	// changed rows into the base's shared-index chain.
-	if len(hosts) == len(baseResults) {
-		same := true
-		for i := range hosts {
-			if hosts[i] != baseResults[i].Hostname {
-				same = false
-				break
+	same := len(hosts) == len(baseResults)
+	for i := 0; same && i < len(hosts); i++ {
+		same = hosts[i] == baseResults[i].Hostname
+	}
+	if same {
+		toScan := make([]string, 0, len(dirty))
+		for _, h := range hosts {
+			if _, stale := dirty[h]; stale {
+				toScan = append(toScan, h)
 			}
 		}
-		if same {
-			toScan := make([]string, 0, len(dirty))
-			for _, h := range hosts {
-				if _, stale := dirty[h]; stale {
-					toScan = append(toScan, h)
-				}
-			}
-			sub := r.scan(ctx, toScan, src.Opts())
-			if next, err := base.ApplyDelta(sub.Results()); err == nil {
-				return next
-			}
-			// A delta contract violation (host vanished from the scan
-			// output) falls through to the reassembly below.
+		if next, err := base.ApplyDelta(r.scan(ctx, toScan, opts).Results()); err == nil {
+			return next
 		}
 	}
-
-	baseIdx := make(map[string]int, len(baseResults))
-	for i := range baseResults {
-		baseIdx[baseResults[i].Hostname] = i
-	}
-	var toScan []string
-	for _, h := range hosts {
-		if _, stale := dirty[h]; stale {
-			toScan = append(toScan, h)
-			continue
-		}
-		if _, have := baseIdx[h]; !have {
-			toScan = append(toScan, h)
-		}
-	}
-	opts := src.Opts()
-	sub := r.scan(ctx, toScan, opts)
-	subResults := sub.Results()
-	subIdx := make(map[string]int, len(subResults))
-	for i := range subResults {
-		subIdx[subResults[i].Hostname] = i
-	}
-	results := make([]scanner.Result, len(hosts))
-	for i, h := range hosts {
-		if j, ok := subIdx[h]; ok {
-			results[i] = subResults[j]
-		} else {
-			results[i] = baseResults[baseIdx[h]]
-		}
-	}
-	return resultset.New(results, opts)
+	return r.scan(ctx, hosts, opts)
 }
 
 // MarkDirty records hosts whose cached results in the named dataset are

@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,8 +199,8 @@ func TestMarkDirtyRacingGetDoomsBuildOnce(t *testing.T) {
 }
 
 // TestPatchFallsBackOnCorpusChange pins the slow path: when the host
-// list itself changed, the patch reassembles the corpus in host order
-// (every current host present) instead of the delta splice.
+// list itself changed, the patch rescans the whole current corpus
+// instead of the delta splice.
 func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 	m := &mutableWorld{hsts: map[string]bool{}}
 	hosts := append([]string(nil), mdHosts...)
@@ -240,7 +241,7 @@ func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 		t.Fatal("dirty host not refreshed on the fallback path")
 	}
 	scans := m.scans()
-	if last := scans[len(scans)-1]; len(last) != 2 {
-		t.Fatalf("fallback scanned %v, want the dirty host + the newcomer", last)
+	if last := scans[len(scans)-1]; !slices.Equal(last, hosts) {
+		t.Fatalf("fallback scanned %v, want the full host list %v", last, hosts)
 	}
 }

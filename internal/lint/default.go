@@ -34,9 +34,9 @@ var WallClockPackages = []string{
 }
 
 // LongRunningPackages are the packages whose goroutines live for a whole
-// suite run (the scheduler, fleet dispatch, the dataset pool, the scan
-// worker pool, the observatory loop, the query API and its load
-// generator); chanleak polices their spawn sites.
+// suite run (the study, fleet dispatch, the dataset pool, the scan worker
+// pool, the observatory loop, the query API and its load generator);
+// chanleak polices their spawn sites.
 var LongRunningPackages = []string{
 	"repro/internal/core",
 	"repro/internal/acmefleet",
@@ -89,7 +89,6 @@ func DefaultAnalyzers() []*Analyzer {
 		GlobalRand(),
 		MapRange(DeterministicPackages...),
 		Exhaustive(),
-		DatasetDecl(DefaultDatasetDeclConfig()),
 		GoroutineOwner(),
 		HotAlloc(HotPathFuncs...),
 		ChanLeak(LongRunningPackages...),

@@ -1,5 +1,5 @@
 // The goroutineowner analyzer enforces the single-owner discipline the
-// concurrent subsystems rely on (scheduler worker pools, the fleet's
+// concurrent subsystems rely on (the world build's worker pool, the fleet's
 // dispatch loop, the scan worker pool): a variable captured by a
 // go-statement closure must be written on only one side of the spawn
 // unless the two sides hand ownership off through a mutex, a WaitGroup

@@ -23,9 +23,9 @@ import (
 	"strings"
 )
 
-// HotAlloc builds the analyzer for a set of hot-path function patterns in
-// FuncKey notation ("pkgpath.Func", "pkgpath.Recv.Method"), where a
-// trailing * matches any suffix of the final name segment.
+// HotAlloc builds the analyzer for a set of hot-path function patterns,
+// "pkgpath.Func" or "pkgpath.Recv.Method" (receiver without its pointer),
+// where a trailing * matches any suffix of the final name segment.
 func HotAlloc(funcs ...string) *Analyzer {
 	byPkg := make(map[string][]hotPat)
 	for _, f := range funcs {

@@ -65,28 +65,18 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
 }
 
-// Analyzer is one named invariant check. An analyzer is either
-// per-package (Run set) or module-wide (RunModule set): per-package
-// analyzers see one type-checked package at a time, module analyzers see
-// the whole load and its call graph.
+// Analyzer is one named invariant check. It sees one type-checked
+// package at a time.
 type Analyzer struct {
 	// Name identifies the check in findings and in //lint:allow comments.
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
-	// Subchecks are additional check names the analyzer may report under
-	// (and that //lint:allow comments may name), e.g. datasetdecl's
-	// "datasetdecl-dynamic".
-	Subchecks []string
 	// Match restricts the analyzer to packages whose import path it accepts;
-	// nil means every package. For a module analyzer, Match limits which
-	// packages' findings are kept — the analysis itself always sees the
-	// whole module.
+	// nil means every package.
 	Match func(pkgPath string) bool
 	// Run inspects one package and reports findings through the Pass.
 	Run func(*Pass)
-	// RunModule inspects the whole loaded module at once.
-	RunModule func(*ModulePass)
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -115,33 +105,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Check:   p.Analyzer.Name,
 		Pos:     p.Fset.Position(pos),
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries a module analyzer's view of the whole load.
-type ModulePass struct {
-	// Analyzer is the check being run.
-	Analyzer *Analyzer
-	// Prog is the loaded module and its call graph.
-	Prog *Program
-
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos under the analyzer's name. Positions
-// are resolved through the owning package's file set: the parallel loader
-// gives each package its own.
-func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	p.ReportCheckf(p.Analyzer.Name, pkg, pos, format, args...)
-}
-
-// ReportCheckf records a finding under an explicit check name, which must
-// be the analyzer's name or one of its Subchecks.
-func (p *ModulePass) ReportCheckf(check string, pkg *Package, pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Check:   check,
-		Pos:     pkg.Fset.Position(pos),
 		Message: fmt.Sprintf(format, args...),
 	})
 }
@@ -213,7 +176,7 @@ func applySuppressions(findings []Finding, byLine map[string][]*allow) {
 // ranChecks names the checks that actually ran on the package;
 // knownChecks names every check the analyzer set could report anywhere,
 // so an allow naming a real check that simply did not run on this package
-// (a module check scoped elsewhere) is distinguished from a typo.
+// (one whose Match excludes it) is distinguished from a typo.
 func allowFindings(byLine map[string][]*allow, ranChecks, knownChecks map[string]bool) []Finding {
 	var out []Finding
 	seen := make(map[*allow]bool)
@@ -309,43 +272,28 @@ func RunAll(dir string, patterns []string, analyzers []*Analyzer, workers int) (
 }
 
 // knownCheckSet collects every check name the analyzer set can report:
-// analyzer names, subchecks, and the driver's own checks.
+// analyzer names and the driver's own checks.
 func knownCheckSet(analyzers []*Analyzer) map[string]bool {
 	known := map[string]bool{CheckAllowSyntax: true, CheckAllowUnused: true}
 	for _, a := range analyzers {
 		known[a.Name] = true
-		for _, sub := range a.Subchecks {
-			known[sub] = true
-		}
 	}
 	return known
 }
 
-// analyze runs the per-package and module analyzers over a loaded package
-// list and returns every finding — suppressed ones marked — in
-// deterministic order.
+// analyze runs the analyzers over a loaded package list and returns every
+// finding — suppressed ones marked — in deterministic order.
 func analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	prog := NewProgram(pkgs)
 	known := knownCheckSet(analyzers)
-
-	perPkg := make([][]Finding, len(pkgs))
-	ranByPkg := make([]map[string]bool, len(pkgs))
-	idxOf := make(map[*Package]int, len(pkgs))
-	for i, pkg := range pkgs {
-		idxOf[pkg] = i
+	var all []Finding
+	for _, pkg := range pkgs {
+		var findings []Finding
 		ran := map[string]bool{CheckAllowSyntax: true, CheckAllowUnused: true}
-		ranByPkg[i] = ran
 		for _, a := range analyzers {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
 			ran[a.Name] = true
-			for _, sub := range a.Subchecks {
-				ran[sub] = true
-			}
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -354,42 +302,14 @@ func analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				Info:     pkg.Info,
 				Path:     pkg.Path,
 				Module:   pkg.Module,
-				findings: &perPkg[i],
+				findings: &findings,
 			}
 			a.Run(pass)
 		}
-	}
-
-	// Module analyzers see the whole load; their findings are routed to
-	// the package owning the file so that package's //lint:allow comments
-	// apply, and dropped when that package was excluded by Match.
-	var moduleFindings []Finding
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		mp := &ModulePass{Analyzer: a, Prog: prog, findings: &moduleFindings}
-		a.RunModule(mp)
-		routed := moduleFindings
-		moduleFindings = moduleFindings[:0]
-		for _, f := range routed {
-			pkg := prog.PackageOf(f.Pos.Filename)
-			if pkg == nil {
-				continue
-			}
-			if a.Match != nil && !a.Match(pkg.Path) {
-				continue
-			}
-			perPkg[idxOf[pkg]] = append(perPkg[idxOf[pkg]], f)
-		}
-	}
-
-	var all []Finding
-	for i, pkg := range pkgs {
 		byLine := collectAllows(pkg.Fset, pkg.Files)
-		applySuppressions(perPkg[i], byLine)
-		kept := append(perPkg[i], allowFindings(byLine, ranByPkg[i], known)...)
-		all = append(all, kept...)
+		applySuppressions(findings, byLine)
+		all = append(all, findings...)
+		all = append(all, allowFindings(byLine, ran, known)...)
 	}
 	sortFindings(all)
 	return all

@@ -120,16 +120,6 @@ func TestExhaustiveFixture(t *testing.T) {
 	checkWants(t, "exhaustive", runFixture(t, "exhaustive", Exhaustive()))
 }
 
-// fixtureDatasetDecl configures datasetdecl against the fixture package's
-// own miniature registry and experiment type.
-func fixtureDatasetDecl() *Analyzer {
-	return DatasetDecl(DatasetDeclConfig{
-		ExperimentType: fixturePath("datasetdecl") + ".Experiment",
-		Accessors:      []string{fixturePath("datasetdecl") + ".Registry.Get"},
-		Pseudo:         []string{"crawl"},
-	})
-}
-
 // fixtureHotAlloc declares the fixture's hot set: a name-prefix pattern,
 // a method pattern, and an exact function.
 func fixtureHotAlloc() *Analyzer {
@@ -138,10 +128,6 @@ func fixtureHotAlloc() *Analyzer {
 		fixturePath("hotalloc")+".Codec.Append",
 		fixturePath("hotalloc")+".build",
 	)
-}
-
-func TestDatasetDeclFixture(t *testing.T) {
-	checkWants(t, "datasetdecl", runFixture(t, "datasetdecl", fixtureDatasetDecl()))
 }
 
 func TestGoroutineOwnerFixture(t *testing.T) {
@@ -163,28 +149,6 @@ func TestChanLeakScope(t *testing.T) {
 		if f.Check == "chanleak" {
 			t.Errorf("out-of-scope package reported: %s", f)
 		}
-	}
-}
-
-// TestDatasetDeclSuppression pins the module-analyzer suppression path
-// end to end: the SUP experiment's finding is marked suppressed by the
-// allow above its literal, and RunAll still carries it.
-func TestDatasetDeclSuppression(t *testing.T) {
-	all, err := RunAll(".", []string{"./testdata/src/datasetdecl"}, []*Analyzer{fixtureDatasetDecl()}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, f := range all {
-		if f.Suppressed {
-			found = true
-			if f.Check != "datasetdecl" || !strings.Contains(f.Message, "SUP") {
-				t.Errorf("unexpected suppressed finding: %s", f)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("RunAll dropped the suppressed SUP finding:\n%v", all)
 	}
 }
 
@@ -215,22 +179,35 @@ func TestSuppressions(t *testing.T) {
 			t.Errorf("suppressed line still reported: %s", f)
 		}
 	}
+	// RunAll keeps the suppressed findings, marked, for -json output.
+	all, err := RunAll(".", []string{"./testdata/src/suppress"}, []*Analyzer{Walltime()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suppressed []key
+	for _, f := range all {
+		if f.Suppressed {
+			suppressed = append(suppressed, key{f.Pos.Line, f.Check})
+		}
+	}
+	if want := []key{{11, "walltime"}, {17, "walltime"}}; fmt.Sprint(suppressed) != fmt.Sprint(want) {
+		t.Fatalf("RunAll suppressed findings = %v, want %v", suppressed, want)
+	}
 }
 
-// TestDeterministicOrder runs the same load under all eight analyzers —
-// per-package and module-wide — at several loader worker counts and
-// requires byte-identical, sorted output from every run.
+// TestDeterministicOrder runs the same load under all seven analyzers at
+// several loader worker counts and requires byte-identical, sorted output
+// from every run.
 func TestDeterministicOrder(t *testing.T) {
 	analyzers := []*Analyzer{
 		Walltime(), GlobalRand(), MapRange(fixturePath("maprange")), Exhaustive(),
-		fixtureDatasetDecl(), GoroutineOwner(), fixtureHotAlloc(), ChanLeak(fixturePath("chanleak")),
+		GoroutineOwner(), fixtureHotAlloc(), ChanLeak(fixturePath("chanleak")),
 	}
 	patterns := []string{
 		"./testdata/src/walltime",
 		"./testdata/src/globalrand",
 		"./testdata/src/maprange",
 		"./testdata/src/exhaustive",
-		"./testdata/src/datasetdecl",
 		"./testdata/src/goroutineowner",
 		"./testdata/src/hotalloc",
 		"./testdata/src/chanleak",
@@ -298,79 +275,4 @@ func TestRepoLintsClean(t *testing.T) {
 		}
 	}
 	t.Logf("suppressed findings by check: %v", suppressed)
-}
-
-// TestDatasetDeclLive demonstrates datasetdecl on the real registry: a
-// copy of the module with E7's Datasets mis-declared (the "worldwide"
-// pre-warm dropped) must produce the undeclared-dataset finding that the
-// pristine tree — per TestRepoLintsClean — does not.
-func TestDatasetDeclLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("copies and type-checks the whole module; skipped in -short")
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, _, err := findModule(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, werr error) error {
-		if werr != nil {
-			return werr
-		}
-		rel, rerr := filepath.Rel(root, path)
-		if rerr != nil {
-			return rerr
-		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "results") {
-				return filepath.SkipDir
-			}
-			return os.MkdirAll(filepath.Join(tmp, rel), 0o755)
-		}
-		if !strings.HasSuffix(d.Name(), ".go") && d.Name() != "go.mod" {
-			return nil
-		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		return os.WriteFile(filepath.Join(tmp, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	expFile := filepath.Join(tmp, "internal", "core", "experiments.go")
-	src, err := os.ReadFile(expFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const good = `Datasets: []string{"worldwide", "acmefleet"}, MutatesWorld: true, Run: runE7`
-	const bad = `Datasets: []string{"acmefleet"}, MutatesWorld: true, Run: runE7`
-	if !strings.Contains(string(src), good) {
-		t.Fatalf("experiments.go no longer contains E7's declaration %q; update this test", good)
-	}
-	mut := strings.Replace(string(src), good, bad, 1)
-	if err := os.WriteFile(expFile, []byte(mut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	findings, err := Run(tmp, []string{"./internal/core"}, []*Analyzer{DatasetDecl(DefaultDatasetDeclConfig())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hit bool
-	for _, f := range findings {
-		if f.Check == "datasetdecl" && strings.Contains(f.Message, "experiment E7") &&
-			strings.Contains(f.Message, `"worldwide"`) {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatalf("mis-declared E7 produced no undeclared-worldwide finding; got:\n%v", findings)
-	}
 }

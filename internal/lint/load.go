@@ -64,8 +64,8 @@ const maxLoadWorkers = 4
 // not safe for concurrent use, and sharing one would serialize the pool —
 // so identical types in different packages may be distinct types.Object
 // values. Analyzers that compare types across packages must compare
-// stable strings (FuncKey, sigKey), never object identity. Package order,
-// positions, and findings are identical for every worker count.
+// stable strings (import path plus name), never object identity. Package
+// order, positions, and findings are identical for every worker count.
 func LoadWorkers(dir string, patterns []string, workers int) ([]*Package, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
