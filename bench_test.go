@@ -8,6 +8,10 @@
 // from a warm pipeline — the same split the paper has between the one-off
 // crawl/scan and the analysis runs. Set GOVHTTPS_BENCH_SCALE to change the
 // world size (default 0.05; 1.0 is the full 135k-hostname study).
+//
+// These benchmarks are for ad-hoc `go test -bench` runs. The repository
+// benchmark is perfbench/, and the thresholds that must hold are the
+// fixed-scale tests in gates_test.go.
 package repro_test
 
 import (
@@ -39,8 +43,8 @@ import (
 )
 
 var (
-	benchOnce  sync.Once
-	benchStudy *core.Study
+	studiesMu sync.Mutex
+	studies   = map[float64]*core.Study{}
 )
 
 func benchScale() float64 {
@@ -55,20 +59,30 @@ func benchScale() float64 {
 // study returns the shared, warm benchmark study.
 func study(b *testing.B) *core.Study {
 	b.Helper()
-	benchOnce.Do(func() {
-		benchStudy = core.MustNewStudy(world.Config{Seed: 42, Scale: benchScale()})
-		// Warm every scan cache outside the timed region.
-		ctx := context.Background()
-		benchStudy.Worldwide(ctx)
-		benchStudy.USAAll(ctx)
-		benchStudy.ROK(ctx)
-		for _, ds := range benchStudy.World.USA.Datasets {
-			if _, err := benchStudy.USADataset(ctx, ds.Key); err != nil {
-				panic(err)
-			}
+	return studyAt(b, benchScale())
+}
+
+// studyAt returns the shared study of the seed-42 world at scale, built
+// once per scale with every scan cache warm.
+func studyAt(tb testing.TB, scale float64) *core.Study {
+	tb.Helper()
+	studiesMu.Lock()
+	defer studiesMu.Unlock()
+	if s, ok := studies[scale]; ok {
+		return s
+	}
+	s := core.MustNewStudy(world.Config{Seed: 42, Scale: scale})
+	ctx := context.Background()
+	s.Worldwide(ctx)
+	s.USAAll(ctx)
+	s.ROK(ctx)
+	for _, ds := range s.World.USA.Datasets {
+		if _, err := s.USADataset(ctx, ds.Key); err != nil {
+			tb.Fatal(err)
 		}
-	})
-	return benchStudy
+	}
+	studies[scale] = s
+	return s
 }
 
 // benchExperiment runs one registry experiment per iteration.
@@ -379,8 +393,7 @@ func BenchmarkReportSuite(b *testing.B) {
 }
 
 // BenchmarkJSONExport measures the zgrab-style JSON-lines serialization.
-// Its allocs/op is gated in scripts/bench_scan.sh: the zero-copy exporter
-// runs allocation-free at steady state, and a regression fails the bench job.
+// TestGateJSONExportAllocs gates its allocations.
 func BenchmarkJSONExport(b *testing.B) {
 	s := study(b)
 	results := s.Worldwide(context.Background())
@@ -399,9 +412,7 @@ func BenchmarkExtensionACMEPolicy(b *testing.B)  { benchExperiment(b, "E6") }
 // BenchmarkRenewalFleet measures the §8.1 renewal campaign end to end:
 // order dispatch, http-01 validation round trips, issuance, zero-downtime
 // rotation and snapshotting, on a chaos-injected private world per
-// iteration (world build and scan stay outside the timed region). Its
-// renewals/op feeds the renewal_fleet throughput section of
-// BENCH_scan.json in scripts/bench_scan.sh.
+// iteration (world build and scan stay outside the timed region).
 func BenchmarkRenewalFleet(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -432,190 +443,26 @@ func BenchmarkRenewalFleet(b *testing.B) {
 	b.ReportMetric(float64(renewals), "renewals/op")
 }
 
-// --- Aggregation benches ---
-//
-// The benches below measure the refactor's core trade: one indexed build
-// pass serving every downstream aggregate, versus the per-experiment
-// loops the analysis layer used to run over the raw slice. Both sides
-// consume the same pre-collected result slice (the scan runs once,
-// outside every timed region — it used to sit inside both timers, where
-// its ~20x larger cost and noise drowned the aggregation delta the
-// section claims to measure); BenchmarkScanWorldwide covers the scan
-// itself.
+// --- Aggregation bench ---
 
-// benchAggRaw returns the warm worldwide raw slice shared by the
-// aggregation benches.
-func benchAggRaw(b *testing.B) []scanner.Result {
-	b.Helper()
-	return study(b).Worldwide(context.Background()).Results()
-}
-
-// checkAggSet guards against dead-code elimination of a built Set.
-func checkAggSet(b *testing.B, set *resultset.Set) {
-	b.Helper()
-	n := set.Counts().Total + len(set.CountryAggs()) + len(set.Issuers()) +
-		len(set.Fingerprints()) + len(set.HostKeyCells())
-	if n == 0 {
-		b.Fatal("empty aggregates")
-	}
-}
-
-// BenchmarkAggregateIndexed times the two-pass index build: one walk
+// BenchmarkAggregateIndexed times the two-pass index build over the warm
+// worldwide slice (the scan runs outside the timed region): one walk
 // interning keys and counting cardinalities, one fill into exact-size
 // flat buckets — producing every aggregate the experiments consume.
 func BenchmarkAggregateIndexed(b *testing.B) {
 	s := study(b)
-	raw := benchAggRaw(b)
+	raw := s.Worldwide(context.Background()).Results()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		checkAggSet(b, resultset.New(raw, resultset.Options{CountryOf: s.CountryOf}))
-	}
-	b.ReportMetric(float64(len(raw)), "hosts/op")
-}
-
-// BenchmarkAggregateLegacy re-runs the pre-refactor pattern: every
-// experiment family walks the raw slice with its own loop, rebuilding the
-// same aggregates the indexed Set derives in one pass — the Table 2
-// tally, per-country rollup, issuer breakdown, fingerprint and key-ID
-// clustering, key/signature/version cells, and the disclosure host lists.
-func BenchmarkAggregateLegacy(b *testing.B) {
-	s := study(b)
-	rawResults := benchAggRaw(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := rawResults
-		// T2: taxonomy tally.
-		byCat := map[scanner.Category]int{}
-		hsts, both := 0, 0
-		for j := range raw {
-			byCat[raw[j].Category()]++
-			if raw[j].Category() == scanner.CatValid && raw[j].HSTS {
-				hsts++
-			}
-			if raw[j].ServesHTTP && raw[j].ServesHTTPS {
-				both++
-			}
-		}
-		// F1: per-country rollup.
-		type ccAgg struct{ hosts, avail, https, valid int }
-		countries := map[string]*ccAgg{}
-		for j := range raw {
-			cc := s.CountryOf(raw[j].Hostname)
-			if cc == "" {
-				continue
-			}
-			agg := countries[cc]
-			if agg == nil {
-				agg = &ccAgg{}
-				countries[cc] = agg
-			}
-			agg.hosts++
-			if raw[j].Available {
-				agg.avail++
-				if raw[j].HasHTTPS() {
-					agg.https++
-				}
-				if raw[j].ValidHTTPS() {
-					agg.valid++
-				}
-			}
-		}
-		// F2: issuer breakdown (total/valid per CA).
-		type issAgg struct{ total, valid int }
-		issuers := map[string]*issAgg{}
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			cn := raw[j].Chain[0].Issuer.CommonName
-			agg := issuers[cn]
-			if agg == nil {
-				agg = &issAgg{}
-				issuers[cn] = agg
-			}
-			agg.total++
-			if raw[j].Verify.Valid() {
-				agg.valid++
-			}
-		}
-		// S533: fingerprint clustering with country spans.
-		fps := map[[32]byte][]string{}
-		fpCCs := map[[32]byte]map[string]bool{}
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			fp := raw[j].Chain[0].Fingerprint()
-			fps[fp] = append(fps[fp], raw[j].Hostname)
-			if cc := s.CountryOf(raw[j].Hostname); cc != "" {
-				if fpCCs[fp] == nil {
-					fpCCs[fp] = map[string]bool{}
-				}
-				fpCCs[fp][cc] = true
-			}
-		}
-		// E3/§8: key-identity sharing.
-		keyHosts := map[string]int{}
-		for j := range raw {
-			if len(raw[j].Chain) > 0 {
-				keyHosts[string(raw[j].Chain[0].PublicKey.ID[:])]++
-			}
-		}
-		// F4: key/signature validity cells (incl. weak counts).
-		type cell struct{ total, valid int }
-		cells := map[string]*cell{}
-		weak, small := 0, 0
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			leaf := raw[j].Chain[0]
-			ok := raw[j].Verify.Valid()
-			for _, label := range []string{
-				leaf.PublicKey.Label(),
-				leaf.SignatureAlgorithm.String(),
-				leaf.PublicKey.Label() + " / " + leaf.SignatureAlgorithm.String(),
-			} {
-				c := cells[label]
-				if c == nil {
-					c = &cell{}
-					cells[label] = c
-				}
-				c.total++
-				if ok {
-					c.valid++
-				}
-			}
-			if leaf.SignatureAlgorithm.IsWeak() {
-				weak++
-			}
-		}
-		// TLS version cells.
-		versions := map[string]int{}
-		for j := range raw {
-			if raw[j].HasHTTPS() && len(raw[j].Chain) > 0 {
-				versions[raw[j].TLSVersion.String()]++
-			}
-		}
-		// F13/notify: invalid hosts and failed upgrades.
-		var invalid []string
-		failed := 0
-		for j := range raw {
-			if raw[j].Category().IsInvalidHTTPS() {
-				invalid = append(invalid, raw[j].Hostname)
-			}
-			if raw[j].ServesHTTP && raw[j].ServesHTTPS && raw[j].ValidHTTPS() {
-				failed++
-			}
-		}
-		if len(byCat)+len(countries)+len(issuers)+len(fps)+len(keyHosts)+
-			len(cells)+len(versions)+len(invalid)+hsts+both+weak+small+failed == 0 {
+		set := resultset.New(raw, resultset.Options{CountryOf: s.CountryOf})
+		n := set.Counts().Total + len(set.CountryAggs()) + len(set.Issuers()) +
+			len(set.Fingerprints()) + len(set.HostKeyCells())
+		if n == 0 {
 			b.Fatal("empty aggregates")
 		}
 	}
-	b.ReportMetric(float64(len(s.World.GovHosts)), "hosts/op")
+	b.ReportMetric(float64(len(raw)), "hosts/op")
 }
 
 // --- Incremental-delta benches ---
@@ -625,17 +472,17 @@ func BenchmarkAggregateLegacy(b *testing.B) {
 // delta) versus the pre-refactor dataset patch path, a full reassembly
 // and re-index of the corpus (cost proportional to the corpus regardless
 // of k). Both sides consume the same pre-built base set and the same
-// changed-row slice; scripts/bench_scan.sh sweeps k for the crossover
-// point and gates the k=100 speedup at the full-study scale.
+// changed-row slice. TestGateApplyDeltaSpeedup gates k=100 at the full
+// study scale.
 
-// benchDeltaBase returns the warm base set plus k changed rows (evenly
-// spaced across the corpus, HSTS flipped so the delta is non-trivial).
-func benchDeltaBase(b *testing.B, k int) (*resultset.Set, []scanner.Result) {
-	b.Helper()
-	s := study(b)
+// deltaFixture returns a base set over the warm worldwide results of s
+// plus k changed rows (evenly spaced across the corpus, HSTS flipped so
+// the delta is non-trivial).
+func deltaFixture(tb testing.TB, s *core.Study, k int) (*resultset.Set, []scanner.Result) {
+	tb.Helper()
 	raw := s.Worldwide(context.Background()).Results()
 	if k >= len(raw) {
-		b.Skipf("k=%d >= corpus %d", k, len(raw))
+		tb.Skipf("k=%d >= corpus %d", k, len(raw))
 	}
 	base := resultset.New(raw, resultset.Options{CountryOf: s.CountryOf})
 	stride := len(raw) / k
@@ -648,6 +495,26 @@ func benchDeltaBase(b *testing.B, k int) (*resultset.Set, []scanner.Result) {
 	return base, changed
 }
 
+// rebuildWithDelta is the full rebuild dataset.Registry.patch ran before
+// the ApplyDelta reroute: walk the base corpus, substituting changed rows
+// by hostname lookup, and index the reassembled slice with resultset.New.
+func rebuildWithDelta(base *resultset.Set, changed []scanner.Result, opts resultset.Options) *resultset.Set {
+	idx := make(map[string]int, len(changed))
+	for j := range changed {
+		idx[changed[j].Hostname] = j
+	}
+	raw := base.Results()
+	rows := make([]scanner.Result, len(raw))
+	for j := range raw {
+		if ci, ok := idx[raw[j].Hostname]; ok {
+			rows[j] = changed[ci]
+		} else {
+			rows[j] = raw[j]
+		}
+	}
+	return resultset.New(rows, opts)
+}
+
 var benchDeltaKs = []int{100, 1000, 10000}
 
 // BenchmarkApplyDelta times the incremental index patch: splice k changed
@@ -655,7 +522,7 @@ var benchDeltaKs = []int{100, 1000, 10000}
 func BenchmarkApplyDelta(b *testing.B) {
 	for _, k := range benchDeltaKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			base, changed := benchDeltaBase(b, k)
+			base, changed := deltaFixture(b, study(b), k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -672,32 +539,17 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyDeltaRebuild is the replaced baseline: the full rebuild
-// dataset.Registry.patch ran before the ApplyDelta reroute — walk the full
-// corpus, substituting changed rows by hostname lookup, and index the
-// reassembled slice with resultset.New.
+// BenchmarkApplyDeltaRebuild is the replaced baseline, rebuildWithDelta.
 func BenchmarkApplyDeltaRebuild(b *testing.B) {
 	for _, k := range benchDeltaKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			base, changed := benchDeltaBase(b, k)
-			raw := base.Results()
-			opts := resultset.Options{CountryOf: study(b).CountryOf}
+			s := study(b)
+			base, changed := deltaFixture(b, s, k)
+			opts := resultset.Options{CountryOf: s.CountryOf}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx := make(map[string]int, len(changed))
-				for j := range changed {
-					idx[changed[j].Hostname] = j
-				}
-				rows := make([]scanner.Result, len(raw))
-				for j := range raw {
-					if ci, ok := idx[raw[j].Hostname]; ok {
-						rows[j] = changed[ci]
-					} else {
-						rows[j] = raw[j]
-					}
-				}
-				if resultset.New(rows, opts).Len() != base.Len() {
+				if rebuildWithDelta(base, changed, opts).Len() != base.Len() {
 					b.Fatal("rebuild changed corpus size")
 				}
 			}
@@ -750,30 +602,26 @@ func BenchmarkObservatory(b *testing.B) {
 // request runs its aggregation), and the streaming-export mix (JSONL
 // windows through the pooled 64 KiB buffers). Each loadgen run issues a
 // fixed request count, so allocs/op divided by req/op is allocs per
-// request — scripts/bench_scan.sh gates the cached number.
+// request; TestGateCachedServeAllocs gates the cached number.
 
 const serveBenchRequests = 512
 
-var (
-	serveBenchOnce     sync.Once
-	serveBenchCached   *serve.Server
-	serveBenchUncached *serve.Server
-	serveBenchQueryMix []string
-	serveBenchExports  []string
-)
+// serveFixture is the query API over one study: a cached and an uncached
+// server, and the request mixes derived from what the worldwide set
+// contains.
+type serveFixture struct {
+	cached, uncached *serve.Server
+	queries, exports []string
+}
 
-// serveBench builds the two servers over the shared warm study and
-// derives the request mixes from what the worldwide set contains.
-func serveBench(b *testing.B) {
-	b.Helper()
-	s := study(b)
-	serveBenchOnce.Do(func() {
-		set := s.Worldwide(context.Background())
-		serveBenchCached = serve.New(s.Registry(), serve.Config{})
-		serveBenchUncached = serve.New(s.Registry(), serve.Config{CacheDisabled: true})
-		ccs := set.Countries()
-		isss := set.Issuers()
-		serveBenchQueryMix = []string{
+func newServeFixture(s *core.Study) *serveFixture {
+	set := s.Worldwide(context.Background())
+	ccs := set.Countries()
+	isss := set.Issuers()
+	return &serveFixture{
+		cached:   serve.New(s.Registry(), serve.Config{}),
+		uncached: serve.New(s.Registry(), serve.Config{CacheDisabled: true}),
+		queries: []string{
 			"/v1/table2",
 			"/v1/countries",
 			"/v1/issuers",
@@ -783,29 +631,47 @@ func serveBench(b *testing.B) {
 			"/v1/category?cat=" + url.QueryEscape(set.Categories()[0].String()),
 			"/v1/host?name=" + url.QueryEscape(set.At(0).Hostname),
 			"/v1/host?name=" + url.QueryEscape(set.At(set.Len()-1).Hostname),
-		}
-		serveBenchExports = []string{
+		},
+		exports: []string{
 			"/v1/export?limit=200",
 			"/v1/export?offset=1000&limit=200",
 			"/v1/export?offset=2000&limit=200",
+		},
+	}
+}
+
+var (
+	serveBenchOnce sync.Once
+	serveBenchFx   *serveFixture
+)
+
+// serveBench returns the fixture over the shared warm benchmark study.
+func serveBench(b *testing.B) *serveFixture {
+	b.Helper()
+	s := study(b)
+	serveBenchOnce.Do(func() { serveBenchFx = newServeFixture(s) })
+	return serveBenchFx
+}
+
+// warmServe requests every path of mix once: it fills the cache (a no-op
+// for the uncached server) and faults in the lazy host index, leaving no
+// entry cold as a random draw could.
+func warmServe(tb testing.TB, srv *serve.Server, mix []string) {
+	tb.Helper()
+	for _, path := range mix {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("warmup %s: status %d", path, rec.Code)
 		}
-	})
+	}
 }
 
 // benchServe drives one mix at one client count and reports the loadgen
 // latency percentiles alongside the standard counters.
 func benchServe(b *testing.B, srv *serve.Server, mix []string, clients, requests int) {
 	var last loadgen.Result
-	// Warm outside the timed region: fill the cache (a no-op for the
-	// uncached server) and fault in the lazy host index — every path
-	// exactly once, not a random draw that could leave entries cold.
-	for _, path := range mix {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("warmup %s: status %d", path, rec.Code)
-		}
-	}
+	warmServe(b, srv, mix)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -825,13 +691,12 @@ func benchServe(b *testing.B, srv *serve.Server, mix []string, clients, requests
 }
 
 // BenchmarkServeQuery is the cached steady state: after the first lap
-// every aggregate is a shard-local LRU hit. Its allocs-per-request is
-// gated in scripts/bench_scan.sh.
+// every aggregate is a shard-local LRU hit.
 func BenchmarkServeQuery(b *testing.B) {
-	serveBench(b)
+	fx := serveBench(b)
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			benchServe(b, serveBenchCached, serveBenchQueryMix, clients, serveBenchRequests)
+			benchServe(b, fx.cached, fx.queries, clients, serveBenchRequests)
 		})
 	}
 }
@@ -840,10 +705,10 @@ func BenchmarkServeQuery(b *testing.B) {
 // cache disabled — the cost of the aggregations themselves, and the
 // denominator of the cache's win.
 func BenchmarkServeQueryUncached(b *testing.B) {
-	serveBench(b)
+	fx := serveBench(b)
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			benchServe(b, serveBenchUncached, serveBenchQueryMix, clients, serveBenchRequests)
+			benchServe(b, fx.uncached, fx.queries, clients, serveBenchRequests)
 		})
 	}
 }
@@ -851,10 +716,10 @@ func BenchmarkServeQueryUncached(b *testing.B) {
 // BenchmarkServeExport streams 200-row JSONL windows through the pooled
 // export path (uncached by design).
 func BenchmarkServeExport(b *testing.B) {
-	serveBench(b)
+	fx := serveBench(b)
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			benchServe(b, serveBenchCached, serveBenchExports, clients, serveBenchRequests/8)
+			benchServe(b, fx.cached, fx.exports, clients, serveBenchRequests/8)
 		})
 	}
 }

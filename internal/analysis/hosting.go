@@ -24,9 +24,6 @@ type HostingBucket struct {
 // — the quantity Figure 5 plots.
 func (b HostingBucket) ValidPctOfTotal() float64 { return pct(b.Valid, b.Total) }
 
-// ValidPctOfHTTPS is the share of https attempts that validate.
-func (b HostingBucket) ValidPctOfHTTPS() float64 { return pct(b.Valid, b.HTTPS) }
-
 // fillBucket tallies one kind or provider's index entries (available
 // hosts only — the set's hosting indexes exclude unavailable hosts).
 func fillBucket(set *resultset.Set, label string, indices []int) HostingBucket {

@@ -142,9 +142,9 @@ func (s *Study) caseStudyOptions() resultset.Options {
 }
 
 // scanDataset is the registry's scan function: probe the hosts with the
-// study's current scanner posture and index the results.
-func (s *Study) scanDataset(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set {
-	return resultset.New(s.Scanner().ScanAll(ctx, hosts), opts)
+// study's current scanner posture.
+func (s *Study) scanDataset(ctx context.Context, hosts []string) []scanner.Result {
+	return s.Scanner().ScanAll(ctx, hosts)
 }
 
 // assembleUSAAll builds the usa:all set from the cached per-key GSA
@@ -298,10 +298,6 @@ func (s *Study) DatasetNames() []string { return s.datasets.Names() }
 // generations on it directly (dataset.Registry.Pin) so queries keep a
 // consistent snapshot while MarkDirty/UseStore churn underneath.
 func (s *Study) Registry() *dataset.Registry { return s.datasets }
-
-// InvalidateDataset drops one dataset's cached results, forcing a full
-// rescan on next use.
-func (s *Study) InvalidateDataset(name string) bool { return s.datasets.Invalidate(name) }
 
 // MarkDatasetDirty records hosts whose cached results are stale after a
 // world mutation — the hook the remediation experiments (S722, E4) use.

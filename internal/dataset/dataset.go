@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/resultset"
+	"repro/internal/scanner"
 )
 
 // Source describes one registered dataset.
@@ -40,9 +41,11 @@ type Source struct {
 	Build func(ctx context.Context) (*resultset.Set, error)
 }
 
-// ScanFunc performs one scan: probe hosts and build the indexed set.
-// The registry calls it without holding any lock.
-type ScanFunc func(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set
+// ScanFunc performs one scan: probe hosts and return one result per host,
+// in input order. The registry indexes full scans itself and hands a
+// patch's rows to ApplyDelta; it calls the function without holding any
+// lock.
+type ScanFunc func(ctx context.Context, hosts []string) []scanner.Result
 
 // entry is one dataset's cache slot.
 type entry struct {
@@ -168,7 +171,7 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 		case e.src.Build != nil:
 			set, err = e.src.Build(ctx)
 		default:
-			set = r.scan(ctx, e.src.Hosts(), e.src.Opts())
+			set = resultset.New(r.scan(ctx, e.src.Hosts()), e.src.Opts())
 		}
 
 		r.mu.Lock()
@@ -331,7 +334,7 @@ func (r *Registry) Generations() []GenerationInfo {
 // flaky worlds should use Invalidate instead (dial-ordinal fault draws
 // depend on scan makeup).
 func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, dirty map[string]struct{}) *resultset.Set {
-	hosts, opts := src.Hosts(), src.Opts()
+	hosts := src.Hosts()
 	baseResults := base.Results()
 	same := len(hosts) == len(baseResults)
 	for i := 0; same && i < len(hosts); i++ {
@@ -344,11 +347,11 @@ func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, d
 				toScan = append(toScan, h)
 			}
 		}
-		if next, err := base.ApplyDelta(r.scan(ctx, toScan, opts).Results()); err == nil {
+		if next, err := base.ApplyDelta(r.scan(ctx, toScan)); err == nil {
 			return next
 		}
 	}
-	return r.scan(ctx, hosts, opts)
+	return resultset.New(r.scan(ctx, hosts), src.Opts())
 }
 
 // MarkDirty records hosts whose cached results in the named dataset are

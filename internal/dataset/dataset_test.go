@@ -11,15 +11,15 @@ import (
 	"repro/internal/scanner"
 )
 
-// fakeScan builds a set directly from the hostnames, counting invocations.
+// fakeScan returns one bare result per hostname, counting invocations.
 func fakeScan(scans *atomic.Int64) dataset.ScanFunc {
-	return func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	return func(_ context.Context, hosts []string) []scanner.Result {
 		scans.Add(1)
 		rs := make([]scanner.Result, len(hosts))
 		for i, h := range hosts {
 			rs[i] = scanner.Result{Hostname: h}
 		}
-		return resultset.New(rs, opts)
+		return rs
 	}
 }
 
@@ -147,10 +147,10 @@ func TestInvalidateAllExactlyOnce(t *testing.T) {
 func TestConcurrentGetSingleFlight(t *testing.T) {
 	var scans atomic.Int64
 	release := make(chan struct{})
-	r := dataset.NewRegistry(func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	r := dataset.NewRegistry(func(_ context.Context, hosts []string) []scanner.Result {
 		scans.Add(1)
 		<-release
-		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, opts)
+		return []scanner.Result{{Hostname: hosts[0]}}
 	})
 	r.Register(dataset.Source{
 		Name:  "a",
@@ -191,13 +191,13 @@ func TestInvalidateMidScanDiscards(t *testing.T) {
 	var scans atomic.Int64
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	r := dataset.NewRegistry(func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	r := dataset.NewRegistry(func(_ context.Context, hosts []string) []scanner.Result {
 		n := scans.Add(1)
 		if n == 1 {
 			started <- struct{}{}
 			<-release // hold the first scan until the test invalidates
 		}
-		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, opts)
+		return []scanner.Result{{Hostname: hosts[0]}}
 	})
 	r.Register(dataset.Source{
 		Name:  "a",

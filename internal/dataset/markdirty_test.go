@@ -24,7 +24,7 @@ type mutableWorld struct {
 	entered chan string
 }
 
-func (m *mutableWorld) scan(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+func (m *mutableWorld) scan(_ context.Context, hosts []string) []scanner.Result {
 	m.mu.Lock()
 	m.scanned = append(m.scanned, append([]string(nil), hosts...))
 	gate := m.gate
@@ -43,7 +43,7 @@ func (m *mutableWorld) scan(_ context.Context, hosts []string, opts resultset.Op
 		rs[i] = scanner.Result{Hostname: h, Available: true, ServesHTTP: true, HSTS: m.hsts[h]}
 	}
 	m.mu.Unlock()
-	return resultset.New(rs, opts)
+	return rs
 }
 
 func (m *mutableWorld) setHSTS(host string, v bool) {

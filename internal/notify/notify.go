@@ -65,11 +65,6 @@ type Report struct {
 	DeadLinked []string
 }
 
-// Empty reports whether there is nothing to disclose.
-func (r Report) Empty() bool {
-	return len(r.InvalidHTTPS) == 0 && len(r.FailedUpgrades) == 0 && len(r.DeadLinked) == 0
-}
-
 // BuildReports assembles per-country reports from an indexed scan; country
 // attribution comes from the set. deadLinked lists known dead-but-linked
 // hostnames per country.

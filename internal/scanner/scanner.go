@@ -266,32 +266,12 @@ func (s *Scanner) Scan(ctx context.Context, hostname string) Result {
 	res.IP = ip
 	res.Provider, res.HostKind = s.Class.Classify(res.IP)
 
-	// Ports 80 and 443 are probed concurrently; the 443 outcome is staged
-	// in out and merged after the join, because how it is reported depends
-	// on what port 80 said (a refused 443 is only an exception when port 80
-	// advertised an https upgrade). With a circuit breaker configured the
-	// probes run sequentially instead: the breaker consumes dial outcomes
-	// in order, and that order is part of its contract. Virtual-clock scans
-	// also probe sequentially: simulated waiting is collapsed, so probe
-	// concurrency cannot hide any latency — the per-host goroutine would be
-	// pure scheduling and stack-growth overhead. Results are identical
-	// either way: the probes touch different endpoints (ports 80 and 443),
-	// so each port's dial sequence is unchanged.
-	var out httpsOutcome
-	_, virtual := s.Cfg.Clock.(*simclock.Virtual)
-	if s.Cfg.Breaker != nil || virtual {
-		s.probeHTTP(ctx, &res)
-		s.probeHTTPS(ctx, &res, &out)
-	} else {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			s.probeHTTPS(ctx, &res, &out)
-		}()
-		s.probeHTTP(ctx, &res)
-		<-done
-	}
-	s.mergeHTTPS(&res, &out)
+	// Port 80 first: how a failed 443 dial is reported depends on its
+	// answer (a refused 443 is only an exception when port 80 advertised
+	// an https upgrade), and a circuit breaker consumes dial outcomes in
+	// this order.
+	s.probeHTTP(ctx, &res)
+	s.probeHTTPS(ctx, &res)
 
 	res.Available = res.ServesHTTP || res.ServesHTTPS || res.RedirectsToHTTPS ||
 		len(res.Chain) > 0 || res.Exception.ServerResponded()
@@ -336,37 +316,27 @@ func (s *Scanner) probeHTTP(ctx context.Context, res *Result) {
 	}
 }
 
-// httpsOutcome stages everything the 443 probe learned. It is merged into
-// the Result only after the port-80 probe has finished, so the two probes
-// can run concurrently without racing on Result fields.
-type httpsOutcome struct {
-	circuitOpen bool
-	dialFailed  bool
-	engaged     bool // the TLS layer was reached (handshake attempted)
-	exception   Exception
-	detail      string
-
-	version     tlssim.Version
-	chain       []*cert.Certificate
-	verify      verify.Result
-	servesHTTPS bool
-	hsts        bool
-}
-
-// probeHTTPS probes port 443 into out. It writes only out and, via
-// dialRetry, res.Attempts — a field nothing else touches — so it is safe to
-// run alongside probeHTTP.
-func (s *Scanner) probeHTTPS(ctx context.Context, res *Result, out *httpsOutcome) {
+// probeHTTPS probes port 443 and records what it learned in res. It runs
+// after probeHTTP, whose upgrade hint decides how a refused dial counts.
+func (s *Scanner) probeHTTPS(ctx context.Context, res *Result) {
 	conn, err := s.dialRetry(ctx, netip.AddrPortFrom(res.IP, 443), res, s.breakerKey(res))
 	if err != nil {
 		if errors.Is(err, ErrCircuitOpen) {
-			out.circuitOpen = true
-			out.detail = err.Error()
+			// Deliberately skipped, not measured: record the degradation
+			// without claiming anything about the host's TLS posture.
+			res.Exception = ExcCircuitOpen
+			res.ExceptionDetail = err.Error()
 			return
 		}
-		out.dialFailed = true
-		out.exception = classifyConnErr(err)
-		out.detail = err.Error()
+		// Connection-level failure. A plain refusal with no upgrade hint
+		// means the host simply does not do https.
+		exc := classifyConnErr(err)
+		if exc == ExcRefused && !res.RedirectsToHTTPS {
+			return
+		}
+		res.AttemptsHTTPS = true
+		res.Exception = exc
+		res.ExceptionDetail = err.Error()
 		return
 	}
 	defer conn.Close()
@@ -377,51 +347,21 @@ func (s *Scanner) probeHTTPS(ctx context.Context, res *Result, out *httpsOutcome
 	ccfg.Clock = s.Cfg.Clock
 	ccfg.ChainCache = s.Cfg.ChainCache
 	tc, err := tlssim.ClientHandshake(conn, ccfg)
-	out.engaged = true
+	res.AttemptsHTTPS = true
 	if err != nil {
-		out.exception, out.detail = classifyTLSErr(err)
+		res.Exception, res.ExceptionDetail = classifyTLSErr(err)
 		return
 	}
 	state := tc.ConnectionState()
-	out.version = state.Version
-	out.chain = state.Chain
-	out.verify = (&verify.Verifier{Store: s.Cfg.Store, Now: s.Cfg.Now, Cache: s.Cfg.VerifyCache}).
+	res.TLSVersion = state.Version
+	res.Chain = state.Chain
+	res.Verify = (&verify.Verifier{Store: s.Cfg.Store, Now: s.Cfg.Now, Cache: s.Cfg.VerifyCache}).
 		Verify(state.Chain, res.Hostname)
 
 	resp, err := httpsim.Get(tc, res.Hostname, "/")
 	if err == nil && resp.StatusCode == 200 {
-		out.servesHTTPS = true
-		out.hsts = resp.HSTS()
-	}
-}
-
-// mergeHTTPS folds the staged 443 outcome into the result, reproducing the
-// sequential reporting rules exactly.
-func (s *Scanner) mergeHTTPS(res *Result, out *httpsOutcome) {
-	switch {
-	case out.circuitOpen:
-		// Deliberately skipped, not measured: record the degradation
-		// without claiming anything about the host's TLS posture.
-		res.Exception = ExcCircuitOpen
-		res.ExceptionDetail = out.detail
-	case out.dialFailed:
-		// Connection-level failure. A plain refusal with no upgrade hint
-		// means the host simply does not do https.
-		if out.exception == ExcRefused && !res.RedirectsToHTTPS {
-			return
-		}
-		res.AttemptsHTTPS = true
-		res.Exception = out.exception
-		res.ExceptionDetail = out.detail
-	case out.engaged:
-		res.AttemptsHTTPS = true
-		res.Exception = out.exception
-		res.ExceptionDetail = out.detail
-		res.TLSVersion = out.version
-		res.Chain = out.chain
-		res.Verify = out.verify
-		res.ServesHTTPS = out.servesHTTPS
-		res.HSTS = out.hsts
+		res.ServesHTTPS = true
+		res.HSTS = resp.HSTS()
 	}
 }
 

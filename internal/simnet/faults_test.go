@@ -200,42 +200,6 @@ func TestSetFaultSpecResetsDialOrdinal(t *testing.T) {
 	}
 }
 
-func TestListenerCloseDrainsBacklog(t *testing.T) {
-	n := New()
-	addr := ep("192.0.2.38:443")
-	l, err := n.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Queue connections that are never accepted.
-	var conns []net.Conn
-	for i := 0; i < 5; i++ {
-		c, err := n.Dial(context.Background(), "lab", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, c)
-	}
-	l.Close()
-	// Every queued peer must see EOF (or a dead conn), not hang.
-	for i, c := range conns {
-		done := make(chan error, 1)
-		go func(c net.Conn) {
-			buf := make([]byte, 1)
-			_, err := c.Read(buf)
-			done <- err
-		}(c)
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Errorf("conn %d: read succeeded on drained conn", i)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("conn %d: peer hangs on half-open conn after listener close", i)
-		}
-	}
-}
-
 func TestFirewallTimeoutIsBothTimeoutAndFirewalled(t *testing.T) {
 	if !IsTimeout(ErrFirewallTimeout) {
 		t.Error("firewall timeout does not classify as timeout")
